@@ -11,7 +11,7 @@ FUZZ_PKGS ?= ./...
 # Minimum total statement coverage accepted by the cover gate.
 COVER_MIN ?= 75
 
-.PHONY: build test race bench bench-pin fmt vet lint vulncheck cover fuzz-smoke sweep-smoke sweep-smoke-sharded deep-sweep deep-loadsweep reconfigure-smoke deep-reconfigure certify-smoke deep-certify examples fabric-conformance compose-smoke k8s-validate ci
+.PHONY: build test race bench bench-pin fmt vet lint vulncheck cover fuzz-smoke sweep-smoke sweep-smoke-sharded deep-sweep deep-loadsweep reconfigure-smoke deep-reconfigure certify-smoke deep-certify examples fabric-conformance compose-smoke k8s-validate prodlines ci
 
 build:
 	$(GO) build ./...
@@ -250,5 +250,12 @@ compose-smoke:
 		{ docker compose logs; docker compose down -v; exit 1; }
 	docker compose down -v
 	@echo "compose-smoke: OK"
+
+# Non-test Go lines per package directory plus the total: the
+# production-line figure each change quotes for its net size.
+prodlines:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' -exec wc -l {} + | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 ci: build vet fmt lint vulncheck race cover examples sweep-smoke sweep-smoke-sharded reconfigure-smoke certify-smoke fabric-conformance k8s-validate

@@ -9,6 +9,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -61,7 +62,7 @@ func VCSweep(g *traffic.Graph, switchCounts []int) ([]SweepPoint, error) {
 		if s > g.NumCores() {
 			continue // cannot have more switches than cores
 		}
-		p, err := runner.Evaluate(g, s, runner.EvalOptions{})
+		p, err := runner.EvaluateContext(context.Background(), g, s, runner.EvalOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("bench: %w", err)
 		}

@@ -7,6 +7,9 @@
 package runner
 
 import (
+	"encoding/json"
+
+	"github.com/nocdr/nocdr/internal/certify"
 	"github.com/nocdr/nocdr/internal/fabric"
 )
 
@@ -58,4 +61,53 @@ func CellKey(j Job, opts Options, loads []float64) string {
 		p.Loads = loads
 	}
 	return fabric.Key("sweep-cell", p)
+}
+
+// cellHit is one cell the result cache answers: the decoded result and
+// the raw entry it was decoded from.
+type cellHit struct {
+	res   Result
+	entry fabric.CacheEntry
+}
+
+// probeCache is the cache pre-pass of local and sharded runs: it looks
+// every job up in opts.CellCache and returns the usable hits aligned
+// with jobs (nil = miss), or nil outright when the run has no cache or
+// bypasses lookups. A stored entry is usable only if it decodes to a
+// Result of the same cell and, on certified runs, carries a certificate
+// from the running checker: a hit whose salt does not match (possible
+// when the cache persisted across a checker change without an
+// engine-salt bump) is a miss, so the cell re-certifies.
+func probeCache(jobs []Job, opts Options, loads []float64) []*cellHit {
+	if opts.CellCache == nil || opts.NoCache {
+		return nil
+	}
+	hits := make([]*cellHit, len(jobs))
+	for i, j := range jobs {
+		key := CellKey(j, opts, loads)
+		data, ok := opts.CellCache.Get(key)
+		if !ok {
+			continue
+		}
+		var r Result
+		if err := json.Unmarshal(data, &r); err != nil || r.Job != j {
+			continue
+		}
+		if opts.Certify && (r.Certify == nil || r.Certify.Salt != certify.Salt) {
+			continue
+		}
+		hits[i] = &cellHit{res: r, entry: fabric.CacheEntry{Key: key, Value: data}}
+	}
+	return hits
+}
+
+// storeCell stores a computed cell under its content address. Errored
+// and canceled cells are never stored: they must re-run next time.
+func storeCell(j Job, r Result, opts Options, loads []float64) {
+	if opts.CellCache == nil || r.Error != "" || r.Canceled {
+		return
+	}
+	if data, err := json.Marshal(r); err == nil {
+		opts.CellCache.Put(CellKey(j, opts, loads), data)
+	}
 }

@@ -50,12 +50,10 @@ type CertResult struct {
 // design: the certificates depend only on the built design, while the
 // final Agree verdict also consults each member cell's simulation.
 type certEval struct {
-	salt        string
-	err         string
-	preAcyclic  bool
-	preCycleLen int
-	postAcyclic bool
-	postSHA     string
+	// verdicts holds the design-level fields; Agree and Mismatch are
+	// derived per member by withSim.
+	verdicts CertResult
+	err      string
 	// structural leg, for the agreement check.
 	initialAcyclic bool
 }
@@ -64,21 +62,21 @@ type certEval struct {
 // post-removal designs. Checker errors are folded into the eval — the
 // cell records the disagreement instead of failing.
 func (de *designEval) certify() *certEval {
-	ce := &certEval{salt: certify.Salt, initialAcyclic: de.initialAcyclic}
+	ce := &certEval{verdicts: CertResult{Salt: certify.Salt}, initialAcyclic: de.initialAcyclic}
 	pre, err := checkDesign(de.preTop, de.preTab, de.preSet, "pre")
 	if err != nil {
 		ce.err = fmt.Sprintf("pre design: %v", err)
 		return ce
 	}
-	ce.preAcyclic = pre.Acyclic
-	ce.preCycleLen = len(pre.Cycle)
+	ce.verdicts.PreAcyclic = pre.Acyclic
+	ce.verdicts.PreCycleLen = len(pre.Cycle)
 	post, err := checkDesign(de.postTop, de.postTab, de.postSet, "post")
 	if err != nil {
 		ce.err = fmt.Sprintf("post design: %v", err)
 		return ce
 	}
-	ce.postAcyclic = post.Acyclic
-	ce.postSHA = post.DesignSHA256
+	ce.verdicts.PostAcyclic = post.Acyclic
+	ce.verdicts.PostSHA256 = post.DesignSHA256
 	return ce
 }
 
@@ -86,29 +84,23 @@ func (de *designEval) certify() *certEval {
 // verdicts plus the agreement check against this cell's simulation
 // outcome (nil when the cell did not simulate).
 func (ce *certEval) withSim(sim *SimResult) *CertResult {
-	c := &CertResult{
-		Salt:        ce.salt,
-		PreAcyclic:  ce.preAcyclic,
-		PreCycleLen: ce.preCycleLen,
-		PostAcyclic: ce.postAcyclic,
-		PostSHA256:  ce.postSHA,
-	}
+	c := ce.verdicts
 	switch {
 	case ce.err != "":
 		c.Mismatch = ce.err
-	case ce.preAcyclic != ce.initialAcyclic:
+	case c.PreAcyclic != ce.initialAcyclic:
 		c.Mismatch = fmt.Sprintf("pre design: checker says acyclic=%v, removal says %v",
-			ce.preAcyclic, ce.initialAcyclic)
-	case !ce.postAcyclic:
+			c.PreAcyclic, ce.initialAcyclic)
+	case !c.PostAcyclic:
 		c.Mismatch = "post design: checker found a dependency cycle after removal"
-	case sim != nil && sim.PreRan && !ce.preAcyclic && !sim.PreDeadlock:
+	case sim != nil && sim.PreRan && !c.PreAcyclic && !sim.PreDeadlock:
 		c.Mismatch = "pre design: certified cycle witness did not deadlock in simulation"
 	case sim != nil && sim.PostDeadlock:
 		c.Mismatch = "post design: simulation deadlocked on a certified-acyclic design"
 	default:
 		c.Agree = true
 	}
-	return c
+	return &c
 }
 
 // checkDesign renders the (topology, routes) pair as the design-bundle

@@ -20,8 +20,8 @@ type EvalOptions struct {
 	Policy      core.DirectionPolicy
 	VCLimit     int
 	FullRebuild bool
-	// Simulate runs the flit-level verification stage (see SimEval) on
-	// the evaluated design, filling Point.Sim.
+	// Simulate runs the flit-level verification stage (see
+	// SimEvalContext) on the evaluated design, filling Point.Sim.
 	Simulate bool
 	// Sim parameterizes the simulations when Simulate is set.
 	Sim SimParams
@@ -31,6 +31,11 @@ type EvalOptions struct {
 	// MaxPaths caps candidate paths per flow in adaptive evaluations
 	// (0 = route.MaxDefaultPaths).
 	MaxPaths int
+}
+
+// removal is the Algorithm 1 configuration the options select.
+func (o EvalOptions) removal() core.Options {
+	return core.Options{Selection: o.Selection, Policy: o.Policy, VCLimit: o.VCLimit, FullRebuild: o.FullRebuild}
 }
 
 // Point is the outcome of evaluating one (traffic graph, switch count)
@@ -56,22 +61,70 @@ type Point struct {
 	Cert *CertResult
 }
 
-// Evaluate synthesizes an application-specific topology for the graph at
-// the given switch count, runs deadlock removal and the resource-ordering
-// baseline, and reports both VC overheads — plus, with opts.Simulate, the
-// flit-level verification of the pre- and post-removal designs.
-func Evaluate(g *traffic.Graph, switchCount int, opts EvalOptions) (Point, error) {
-	return EvaluateContext(context.Background(), g, switchCount, opts)
-}
-
-// EvaluateContext is Evaluate with cooperative cancellation threaded
-// through synthesis, removal and the simulation stage.
+// EvaluateContext synthesizes an application-specific topology for the
+// graph at the given switch count, runs deadlock removal and the
+// resource-ordering baseline, and reports both VC overheads — plus, with
+// opts.Simulate, the flit-level verification of the pre- and
+// post-removal designs. ctx is honored through synthesis, removal and
+// the simulation stage.
 func EvaluateContext(ctx context.Context, g *traffic.Graph, switchCount int, opts EvalOptions) (Point, error) {
 	de, err := buildSynth(ctx, g, switchCount, opts)
 	if err != nil {
 		return Point{}, err
 	}
 	return de.finish(ctx, opts)
+}
+
+// buildCell builds one grid cell's design without the per-cell
+// verification stages — the dispatch the grouped scheduler and the
+// per-cell oracle share. Regular-topology presets get their seeded link
+// faults masked and run under dimension-ordered routes (unfaulted dor)
+// or the cell's turn model; synthesized benchmarks resolve their traffic
+// graph and synthesize a topology, except that a switch count above the
+// core count skips the cell (the sweep convention of Figures 8 and 9).
+// cores is the workload's core count, known once the workload exists
+// (0 when resolving it failed).
+func buildCell(ctx context.Context, job Job, opts EvalOptions) (de *designEval, cores int, skipped bool, err error) {
+	if preset, ok := parsePreset(job.Benchmark); ok {
+		grid, g, err := preset.build()
+		if err != nil {
+			return nil, 0, false, err
+		}
+		cores = g.NumCores()
+		model, err := route.ParseTurnModel(job.Routing)
+		if err != nil {
+			return nil, cores, false, err
+		}
+		if job.Faults > 0 {
+			// Seeded per-cell fault scenario: mask links, keep the network
+			// connected, and let the routing regenerate around them.
+			ids, err := regular.SelectFaults(grid, job.Faults, job.Seed)
+			if err != nil {
+				return nil, cores, false, err
+			}
+			if err := grid.Topology.Fault(ids...); err != nil {
+				return nil, cores, false, err
+			}
+		}
+		if model == route.DOR && job.Faults == 0 {
+			// The classic single-path pipeline, byte-identical to
+			// pre-routing-axis sweeps.
+			de, err = buildRegular(ctx, grid, g, opts)
+		} else {
+			de, err = buildAdaptive(ctx, grid, g, model, opts)
+		}
+		return de, cores, false, err
+	}
+	g, err := resolveBenchmark(job.Benchmark, job.Seed)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	cores = g.NumCores()
+	if job.SwitchCount > cores {
+		return nil, cores, true, nil
+	}
+	de, err = buildSynth(ctx, g, job.SwitchCount, opts)
+	return de, cores, false, err
 }
 
 // buildSynth synthesizes and evaluates an application-specific design
@@ -84,53 +137,16 @@ func buildSynth(ctx context.Context, g *traffic.Graph, switchCount int, opts Eva
 	return buildRouted(ctx, g, des.Topology, des.Routes, opts, fmt.Sprintf("%s @ %d", g.Name, switchCount))
 }
 
-// EvaluateRegular evaluates a regular-topology preset: a mesh or torus
-// with dimension-ordered routes, the configuration whose wrap-around
-// dependencies are the textbook dateline deadlock. The removal algorithm
-// and the ordering baseline run on the DOR routes directly — there is no
-// synthesis step, so the preset carries its own switch count.
-func EvaluateRegular(grid *regular.Grid, g *traffic.Graph, opts EvalOptions) (Point, error) {
-	return EvaluateRegularContext(context.Background(), grid, g, opts)
-}
-
-// EvaluateRegularContext is EvaluateRegular with cooperative
-// cancellation.
-func EvaluateRegularContext(ctx context.Context, grid *regular.Grid, g *traffic.Graph, opts EvalOptions) (Point, error) {
-	de, err := buildRegular(ctx, grid, g, opts)
-	if err != nil {
-		return Point{}, err
-	}
-	return de.finish(ctx, opts)
-}
-
 // buildRegular evaluates a regular-topology preset under dimension-ordered
-// routes without the simulation stage.
+// routes without the simulation stage: the mesh or torus configuration
+// whose wrap-around dependencies are the textbook dateline deadlock.
+// There is no synthesis step, so the preset carries its own switch count.
 func buildRegular(ctx context.Context, grid *regular.Grid, g *traffic.Graph, opts EvalOptions) (*designEval, error) {
 	tab, err := regular.DORRoutes(grid, g)
 	if err != nil {
 		return nil, fmt.Errorf("runner: DOR routes for %s: %w", grid.Topology.Name, err)
 	}
 	return buildRouted(ctx, g, grid.Topology, tab, opts, grid.Topology.Name)
-}
-
-// EvaluateAdaptive evaluates a regular-topology preset under an adaptive
-// routing function: a multi-candidate route set generated by the given
-// turn model (routing around any masked link faults), deadlock removal
-// over the union CDG, the resource-ordering baseline on the flattened
-// pseudo-flow table, and — with opts.Simulate — the flit-level
-// verification stage on the adaptive simulator.
-func EvaluateAdaptive(grid *regular.Grid, g *traffic.Graph, model route.TurnModel, opts EvalOptions) (Point, error) {
-	return EvaluateAdaptiveContext(context.Background(), grid, g, model, opts)
-}
-
-// EvaluateAdaptiveContext is EvaluateAdaptive with cooperative
-// cancellation.
-func EvaluateAdaptiveContext(ctx context.Context, grid *regular.Grid, g *traffic.Graph, model route.TurnModel, opts EvalOptions) (Point, error) {
-	de, err := buildAdaptive(ctx, grid, g, model, opts)
-	if err != nil {
-		return Point{}, err
-	}
-	return de.finish(ctx, opts)
 }
 
 // designEval is a fully built and removed design: the seed-independent
@@ -152,15 +168,6 @@ type designEval struct {
 	adaptive        bool
 }
 
-// simulate runs the per-cell verification stage on the built design —
-// the sequential oracle the batched path is pinned against.
-func (de *designEval) simulate(ctx context.Context, params SimParams) (*SimResult, error) {
-	if de.adaptive {
-		return SimEvalSetContext(ctx, de.g, de.preTop, de.preSet, de.initialAcyclic, de.postTop, de.postSet, params)
-	}
-	return SimEvalContext(ctx, de.g, de.preTop, de.preTab, de.initialAcyclic, de.postTop, de.postTab, params)
-}
-
 // buildAdaptive evaluates a regular-topology preset under a turn model:
 // route-set generation, union-CDG removal, the ordering baseline on the
 // flattened table. No simulation.
@@ -173,12 +180,7 @@ func buildAdaptive(ctx context.Context, grid *regular.Grid, g *traffic.Graph, mo
 	}
 	var p Point
 	start := time.Now()
-	rm, err := core.RemoveSetContext(ctx, top, set, core.Options{
-		Selection:   opts.Selection,
-		Policy:      opts.Policy,
-		VCLimit:     opts.VCLimit,
-		FullRebuild: opts.FullRebuild,
-	})
+	rm, err := core.RemoveSetContext(ctx, top, set, opts.removal())
 	if err != nil {
 		return nil, fmt.Errorf("runner: remove %s: %w", label, err)
 	}
@@ -209,12 +211,7 @@ func buildAdaptive(ctx context.Context, grid *regular.Grid, g *traffic.Graph, mo
 func buildRouted(ctx context.Context, g *traffic.Graph, top *topology.Topology, tab *route.Table, opts EvalOptions, label string) (*designEval, error) {
 	var p Point
 	start := time.Now()
-	rm, err := core.RemoveContext(ctx, top, tab, core.Options{
-		Selection:   opts.Selection,
-		Policy:      opts.Policy,
-		VCLimit:     opts.VCLimit,
-		FullRebuild: opts.FullRebuild,
-	})
+	rm, err := core.RemoveContext(ctx, top, tab, opts.removal())
 	if err != nil {
 		return nil, fmt.Errorf("runner: remove %s: %w", label, err)
 	}

@@ -1,11 +1,6 @@
 package runner
 
-import (
-	"context"
-
-	"github.com/nocdr/nocdr/internal/regular"
-	"github.com/nocdr/nocdr/internal/route"
-)
+import "context"
 
 // groupKey identifies a design: every job with the same key builds the
 // same topology, routes, removal and ordering, so the grouped scheduler
@@ -86,87 +81,30 @@ var designBuildHook func(Job)
 // that cell, which the conformance tests pin differentially.
 func runGroup(ctx context.Context, jobs []Job, members []int, results []Result, opts Options, loads []float64, laneParallel int) {
 	job0 := jobs[members[0]]
-	emit := func(mk func(Job) Result) {
+	emit := func(r Result) {
 		for _, i := range members {
-			results[i] = mk(jobs[i])
+			r.Job = jobs[i]
+			results[i] = r
 		}
 	}
-
-	policy, err := ParsePolicy(job0.Policy)
+	evalOpts, err := opts.evalOptions(job0)
 	if err != nil {
-		emit(func(j Job) Result { return Result{Job: j, Error: err.Error()} })
+		emit(Result{}.fail(err))
 		return
 	}
-	evalOpts := EvalOptions{
-		Selection:   policy,
-		Policy:      opts.Policy,
-		VCLimit:     opts.VCLimit,
-		FullRebuild: opts.FullRebuild,
-		MaxPaths:    opts.maxPaths,
-	}
-
 	if hook := designBuildHook; hook != nil {
 		hook(job0)
 	}
-
-	var de *designEval
-	var cores int
-	failAll := func(err error) {
-		emit(func(j Job) Result {
-			r := Result{Job: j, Cores: cores}
-			return r.fail(err)
-		})
-	}
-	if preset, ok := parsePreset(job0.Benchmark); ok {
-		grid, g, err := preset.build()
-		if err != nil {
-			emit(func(j Job) Result { return Result{Job: j, Error: err.Error()} })
-			return
-		}
-		cores = g.NumCores()
-		model, err := route.ParseTurnModel(job0.Routing)
-		if err != nil {
-			failAll(err)
-			return
-		}
-		if job0.Faults > 0 {
-			// Seeded per-cell fault scenario — the group key carries the
-			// seed for faulted cells, so job0's seed is every member's.
-			ids, err := regular.SelectFaults(grid, job0.Faults, job0.Seed)
-			if err != nil {
-				failAll(err)
-				return
-			}
-			if err := grid.Topology.Fault(ids...); err != nil {
-				failAll(err)
-				return
-			}
-		}
-		if model == route.DOR && job0.Faults == 0 {
-			de, err = buildRegular(ctx, grid, g, evalOpts)
-		} else {
-			de, err = buildAdaptive(ctx, grid, g, model, evalOpts)
-		}
-		if err != nil {
-			failAll(err)
-			return
-		}
-	} else {
-		g, err := resolveBenchmark(job0.Benchmark, job0.Seed)
-		if err != nil {
-			emit(func(j Job) Result { return Result{Job: j, Error: err.Error()} })
-			return
-		}
-		cores = g.NumCores()
-		if job0.SwitchCount > cores {
-			emit(func(j Job) Result { return Result{Job: j, Cores: cores, Skipped: true} })
-			return
-		}
-		de, err = buildSynth(ctx, g, job0.SwitchCount, evalOpts)
-		if err != nil {
-			failAll(err)
-			return
-		}
+	// The group key carries the seed whenever the design depends on it
+	// (rand: traffic, seeded faults), so job0's design is every member's.
+	de, cores, skipped, err := buildCell(ctx, job0, evalOpts)
+	switch {
+	case err != nil:
+		emit(Result{Cores: cores}.fail(err))
+		return
+	case skipped:
+		emit(Result{Cores: cores, Skipped: true})
+		return
 	}
 
 	// The certification, like the removal, is design-level: the checker
@@ -178,48 +116,31 @@ func runGroup(ctx context.Context, jobs []Job, members []int, results []Result, 
 		ce = de.certify()
 	}
 
-	base := Result{Cores: cores}
-	base.Links = de.point.Links
-	base.MaxRouteLen = de.point.MaxRouteLen
-	base.InitialAcyclic = de.point.InitialAcyclic
-	base.RemovalVCs = de.point.RemovalVCs
-	base.OrderingVCs = de.point.OrderingVCs
-	base.Breaks = de.point.Breaks
-	base.Paths = de.point.Paths
+	var sims []*SimResult
+	if opts.Simulate {
+		// Derive the per-cell simulation seeds from the job seeds so the
+		// seeds axis varies the injection process even on deterministic
+		// benchmarks — the same derivation runJob uses.
+		seeds := make([]int64, len(members))
+		for k, i := range members {
+			seeds[k] = opts.Sim.Seed + jobs[i].Seed + 1
+		}
+		if sims, err = de.simEvalBatch(ctx, opts.Sim, seeds, loads, laneParallel); err != nil {
+			emit(Result{Cores: cores}.fail(err))
+			return
+		}
+	}
 	// The removal ran once for the whole group; every member reports its
 	// wall-clock (timings are progress-only and never serialized).
-	base.RemovalTime = de.point.RemovalTime
-
-	if !opts.Simulate {
-		emit(func(j Job) Result {
-			r := base
-			r.Job = j
-			if ce != nil {
-				r.Certify = ce.withSim(nil)
-			}
-			return r
-		})
-		return
-	}
-
-	// Derive the per-cell simulation seeds from the job seeds so the
-	// seeds axis varies the injection process even on deterministic
-	// benchmarks — the same derivation runJob uses.
-	seeds := make([]int64, len(members))
-	for k, i := range members {
-		seeds[k] = opts.Sim.Seed + jobs[i].Seed + 1
-	}
-	sims, err := de.simEvalBatch(ctx, opts.Sim, seeds, loads, laneParallel)
-	if err != nil {
-		failAll(err)
-		return
-	}
+	base := Result{Cores: cores}.withPoint(de.point)
 	for k, i := range members {
 		r := base
 		r.Job = jobs[i]
-		r.Sim = sims[k]
+		if sims != nil {
+			r.Sim = sims[k]
+		}
 		if ce != nil {
-			r.Certify = ce.withSim(sims[k])
+			r.Certify = ce.withSim(r.Sim)
 		}
 		results[i] = r
 	}

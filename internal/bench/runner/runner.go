@@ -17,10 +17,10 @@ import (
 	"regexp"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
-	"github.com/nocdr/nocdr/internal/certify"
 	"github.com/nocdr/nocdr/internal/core"
 	"github.com/nocdr/nocdr/internal/nocerr"
 	"github.com/nocdr/nocdr/internal/regular"
@@ -153,12 +153,22 @@ func (g Grid) Jobs() []Job {
 }
 
 // Validate resolves every benchmark spec and policy name, failing fast on
-// typos before any work is scheduled.
+// typos before any work is scheduled. rand: specs are only parsed and
+// range-checked, never generated: their workload is O(cores²) to build
+// and cannot fail once the spec is in range.
 func (g Grid) Validate() error {
 	n := g.normalized()
 	for _, b := range n.Benchmarks {
 		if p, ok := parsePreset(b); ok {
 			if _, _, err := p.build(); err != nil {
+				return err
+			}
+			continue
+		}
+		// A rand: spec validates by parsing alone: RandomKOut cannot fail
+		// on an in-range spec, and materializing it costs O(cores²).
+		if _, _, ok, err := parseRand(b); ok {
+			if err != nil {
 				return err
 			}
 			continue
@@ -295,7 +305,8 @@ type Options struct {
 	FullRebuild bool
 	// Simulate adds the flit-level verification stage to every job: a
 	// negative-control simulation of the pre-removal design and a
-	// measurement simulation of the post-removal design (see SimEval).
+	// measurement simulation of the post-removal design (see
+	// SimEvalContext).
 	Simulate bool
 	// Sim parameterizes the simulations; the per-job seed is derived from
 	// the job's seed on top of these.
@@ -370,34 +381,23 @@ func RunContext(ctx context.Context, grid Grid, opts Options) (*Report, error) {
 	}
 	results := make([]Result, len(jobs))
 	scheduled := make([]bool, len(jobs))
+	notify := &notifier{progress: opts.Progress, onResult: opts.OnResult, total: len(jobs)}
 
 	// Result-cache pre-pass: cells whose content address already holds a
 	// clean result are filled in place and never scheduled. The stored
 	// bytes are the canonical Result encoding, so a cache-served report
-	// is byte-identical to a cold one.
+	// is byte-identical to a cold one. Cache-served cells complete the
+	// moment the run starts: their progress lines and OnResult events
+	// fire before any worker is spawned, so observers see every cell
+	// exactly once.
 	var cached []bool
-	if opts.CellCache != nil && !opts.NoCache {
+	if hits := probeCache(jobs, opts, grid.Loads); hits != nil {
 		cached = make([]bool, len(jobs))
-		for i, j := range jobs {
-			data, ok := opts.CellCache.Get(CellKey(j, opts, grid.Loads))
-			if !ok {
-				continue
+		for i, h := range hits {
+			if h != nil {
+				results[i], scheduled[i], cached[i] = h.res, true, true
+				notify.cell(i, h.res, " (cached)")
 			}
-			var r Result
-			if err := json.Unmarshal(data, &r); err != nil || r.Job != j {
-				continue
-			}
-			// Certified runs never reuse a certificate issued by a
-			// different checker build: a hit whose stored salt does not
-			// match the running checker (possible when the cache
-			// persisted across a checker change without an engine-salt
-			// bump) is treated as a miss and the cell re-certifies.
-			if opts.Certify && (r.Certify == nil || r.Certify.Salt != certify.Salt) {
-				continue
-			}
-			results[i] = r
-			scheduled[i] = true
-			cached[i] = true
 		}
 	}
 
@@ -423,28 +423,7 @@ func RunContext(ctx context.Context, grid Grid, opts Options) (*Report, error) {
 		laneParallel = opts.Parallel / workers
 	}
 
-	var (
-		wg       sync.WaitGroup
-		progress sync.Mutex
-		done     int
-	)
-	// Cache-served cells complete the moment the run starts: their
-	// progress lines and OnResult events fire up front, before any
-	// worker is spawned, so observers see every cell exactly once.
-	if opts.Progress != nil || opts.OnResult != nil {
-		for i := range jobs {
-			if cached == nil || !cached[i] {
-				continue
-			}
-			done++
-			if opts.Progress != nil {
-				fmt.Fprintf(opts.Progress, "sweep %d/%d: %s (cached)\n", done, len(jobs), results[i].oneLine())
-			}
-			if opts.OnResult != nil {
-				opts.OnResult(i, len(jobs), results[i])
-			}
-		}
-	}
+	var wg sync.WaitGroup
 	idx := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -453,32 +432,9 @@ func RunContext(ctx context.Context, grid Grid, opts Options) (*Report, error) {
 			for gi := range idx {
 				members := groups[gi]
 				runGroup(ctx, jobs, members, results, opts, grid.Loads, laneParallel)
-				if opts.CellCache != nil {
-					// Store every clean member under its content address;
-					// failures and cancellations must re-run next time.
-					for _, i := range members {
-						if r := results[i]; r.Error == "" && !r.Canceled {
-							if data, err := json.Marshal(r); err == nil {
-								opts.CellCache.Put(CellKey(jobs[i], opts, grid.Loads), data)
-							}
-						}
-					}
-				}
-				if opts.Progress != nil || opts.OnResult != nil {
-					// Counter increment and callbacks share the mutex so
-					// the n/total labels stay monotonic on the stream and
-					// OnResult observers never run concurrently.
-					progress.Lock()
-					for _, i := range members {
-						done++
-						if opts.Progress != nil {
-							fmt.Fprintf(opts.Progress, "sweep %d/%d: %s\n", done, len(jobs), results[i].oneLine())
-						}
-						if opts.OnResult != nil {
-							opts.OnResult(i, len(jobs), results[i])
-						}
-					}
-					progress.Unlock()
+				for _, i := range members {
+					storeCell(jobs[i], results[i], opts, grid.Loads)
+					notify.cell(i, results[i], "")
 				}
 			}
 		}()
@@ -519,88 +475,90 @@ feed:
 // result canceled rather than errored.
 func runJob(ctx context.Context, job Job, opts Options) Result {
 	res := Result{Job: job}
-	policy, err := ParsePolicy(job.Policy)
+	evalOpts, err := opts.evalOptions(job)
 	if err != nil {
-		res.Error = err.Error()
+		return res.fail(err)
+	}
+	de, cores, skipped, err := buildCell(ctx, job, evalOpts)
+	res.Cores, res.Skipped = cores, skipped
+	if err != nil {
+		return res.fail(err)
+	}
+	if skipped {
 		return res
 	}
-	evalOpts := EvalOptions{
-		Selection:   policy,
-		Policy:      opts.Policy,
-		VCLimit:     opts.VCLimit,
-		FullRebuild: opts.FullRebuild,
-		Simulate:    opts.Simulate,
-		Sim:         opts.Sim,
-		Certify:     opts.Certify,
-		MaxPaths:    opts.maxPaths,
+	p, err := de.finish(ctx, evalOpts)
+	if err != nil {
+		return res.fail(err)
 	}
-	// Derive the simulation seed from the job seed so the seeds axis
-	// varies the injection process even on deterministic benchmarks.
-	evalOpts.Sim.Seed = opts.Sim.Seed + job.Seed + 1
+	return res.withPoint(p)
+}
 
-	var p Point
-	if preset, ok := parsePreset(job.Benchmark); ok {
-		grid, g, err := preset.build()
-		if err != nil {
-			res.Error = err.Error()
-			return res
-		}
-		res.Cores = g.NumCores()
-		model, err := route.ParseTurnModel(job.Routing)
-		if err != nil {
-			res.Error = err.Error()
-			return res
-		}
-		if job.Faults > 0 {
-			// Seeded per-cell fault scenario: mask links, keep the network
-			// connected, and let the routing regenerate around them.
-			ids, err := regular.SelectFaults(grid, job.Faults, job.Seed)
-			if err != nil {
-				res.Error = err.Error()
-				return res
-			}
-			if err := grid.Topology.Fault(ids...); err != nil {
-				res.Error = err.Error()
-				return res
-			}
-		}
-		if model == route.DOR && job.Faults == 0 {
-			// The classic single-path pipeline, byte-identical to
-			// pre-routing-axis sweeps.
-			p, err = EvaluateRegularContext(ctx, grid, g, evalOpts)
-		} else {
-			p, err = EvaluateAdaptiveContext(ctx, grid, g, model, evalOpts)
-		}
-		if err != nil {
-			return res.fail(err)
-		}
-	} else {
-		g, err := resolveBenchmark(job.Benchmark, job.Seed)
-		if err != nil {
-			res.Error = err.Error()
-			return res
-		}
-		res.Cores = g.NumCores()
-		if job.SwitchCount > g.NumCores() {
-			res.Skipped = true
-			return res
-		}
-		p, err = EvaluateContext(ctx, g, job.SwitchCount, evalOpts)
-		if err != nil {
-			return res.fail(err)
-		}
+// evalOptions is job's evaluation configuration under the sweep
+// options: its cycle-selection policy parsed, and its simulation seed
+// derived from the job seed so the seeds axis varies the injection
+// process even on deterministic benchmarks.
+func (o Options) evalOptions(job Job) (EvalOptions, error) {
+	selection, err := ParsePolicy(job.Policy)
+	if err != nil {
+		return EvalOptions{}, err
 	}
-	res.Links = p.Links
-	res.MaxRouteLen = p.MaxRouteLen
-	res.InitialAcyclic = p.InitialAcyclic
-	res.RemovalVCs = p.RemovalVCs
-	res.OrderingVCs = p.OrderingVCs
-	res.Breaks = p.Breaks
-	res.Paths = p.Paths
-	res.Sim = p.Sim
-	res.Certify = p.Cert
-	res.RemovalTime = p.RemovalTime
-	return res
+	sim := o.Sim
+	sim.Seed += job.Seed + 1
+	return EvalOptions{
+		Selection:   selection,
+		Policy:      o.Policy,
+		VCLimit:     o.VCLimit,
+		FullRebuild: o.FullRebuild,
+		Simulate:    o.Simulate,
+		Sim:         sim,
+		Certify:     o.Certify,
+		MaxPaths:    o.maxPaths,
+	}, nil
+}
+
+// withPoint copies an evaluated point into the result.
+func (r Result) withPoint(p Point) Result {
+	r.Links = p.Links
+	r.MaxRouteLen = p.MaxRouteLen
+	r.InitialAcyclic = p.InitialAcyclic
+	r.RemovalVCs = p.RemovalVCs
+	r.OrderingVCs = p.OrderingVCs
+	r.Breaks = p.Breaks
+	r.Paths = p.Paths
+	r.Sim = p.Sim
+	r.Certify = p.Cert
+	r.RemovalTime = p.RemovalTime
+	return r
+}
+
+// notifier is the sweep's per-cell observer feed, shared by local and
+// sharded runs: one "sweep n/total" progress line and one OnResult event
+// per completed cell. The mutex keeps the n/total labels monotonic on
+// the stream and OnResult observers from ever running concurrently.
+type notifier struct {
+	mu       sync.Mutex
+	progress io.Writer
+	onResult func(index, total int, res Result)
+	done     int
+	total    int
+}
+
+// cell reports one completed cell. tag annotates its progress line; a
+// negative slot (a cell the sharded merge cannot place) skips OnResult.
+func (n *notifier) cell(slot int, r Result, tag string) {
+	if n.progress == nil && n.onResult == nil {
+		return
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.done++
+	if n.progress != nil {
+		fmt.Fprintf(n.progress, "sweep %d/%d: %s%s\n", n.done, n.total, r.oneLine(), tag)
+	}
+	if n.onResult != nil && slot >= 0 {
+		n.onResult(slot, n.total, r)
+	}
 }
 
 // fail folds an evaluation error into the result: cancellations mark the
@@ -666,15 +624,53 @@ func (s *SimResult) summary() string {
 	return fmt.Sprintf("%s %s p95=%d", pre, post, s.PostP95)
 }
 
-// ParsePolicy maps a policy spec to the core selection constant.
-func ParsePolicy(s string) (core.CycleSelection, error) {
-	switch s {
-	case "", "smallest":
-		return core.SmallestFirst, nil
-	case "first":
-		return core.FirstFound, nil
+// Wire names of the cycle-selection and direction policies, indexed by
+// the core constants: the one table behind the sweep grid's Policies
+// axis and the job API's policy/selection fields. An empty name parses
+// as the paper default, the zero constant.
+var (
+	selectionNames = [...]string{core.SmallestFirst: "smallest", core.FirstFound: "first"}
+	directionNames = [...]string{core.BestOfBoth: "best", core.ForwardOnly: "forward", core.BackwardOnly: "backward"}
+)
+
+// lookupName returns the index of name in names ("" = 0).
+func lookupName(names []string, name string) (int, bool) {
+	if name == "" {
+		return 0, true
 	}
-	return 0, fmt.Errorf("runner: unknown selection policy %q (valid: smallest, first)", s)
+	for i, n := range names {
+		if n == name {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// ParsePolicy maps a cycle-selection policy name to the core constant.
+func ParsePolicy(s string) (core.CycleSelection, error) {
+	i, ok := lookupName(selectionNames[:], s)
+	if !ok {
+		return 0, fmt.Errorf("runner: unknown selection policy %q (valid: %s)", s, strings.Join(selectionNames[:], ", "))
+	}
+	return core.CycleSelection(i), nil
+}
+
+// ParseDirection maps a direction-policy name to the core constant.
+func ParseDirection(s string) (core.DirectionPolicy, error) {
+	i, ok := lookupName(directionNames[:], s)
+	if !ok {
+		return 0, fmt.Errorf("runner: unknown direction policy %q (valid: %s)", s, strings.Join(directionNames[:], ", "))
+	}
+	return core.DirectionPolicy(i), nil
+}
+
+// DirectionName is the wire name ParseDirection accepts for p; values
+// outside the table spell the default, "best".
+func DirectionName(p core.DirectionPolicy) string {
+	if int(p) < 0 || int(p) >= len(directionNames) {
+		return directionNames[core.BestOfBoth]
+	}
+	return directionNames[p]
 }
 
 var (
@@ -689,11 +685,9 @@ var (
 // job's seed, or one of the deterministic adversarial patterns
 // (transpose:<n>, bitrev:<n>, hotspot:<n>x<h>).
 func resolveBenchmark(spec string, seed int64) (*traffic.Graph, error) {
-	if m := randSpec.FindStringSubmatch(spec); m != nil {
-		cores, _ := strconv.Atoi(m[1])
-		fanout, _ := strconv.Atoi(m[2])
-		if cores < 2 || fanout < 1 || fanout >= cores {
-			return nil, fmt.Errorf("runner: rand spec %q out of range (need 2 ≤ cores, 1 ≤ fanout < cores)", spec)
+	if cores, fanout, ok, err := parseRand(spec); ok {
+		if err != nil {
+			return nil, err
 		}
 		name := fmt.Sprintf("%s#%d", spec, seed)
 		return traffic.RandomKOut(name, cores, fanout, seed), nil
@@ -714,6 +708,21 @@ func resolveBenchmark(spec string, seed int64) (*traffic.Graph, error) {
 		return traffic.Hotspot(n, h)
 	}
 	return traffic.ByName(spec)
+}
+
+// parseRand parses and range-checks a rand:<cores>x<fanout> spec; ok is
+// false for specs of any other shape.
+func parseRand(spec string) (cores, fanout int, ok bool, err error) {
+	m := randSpec.FindStringSubmatch(spec)
+	if m == nil {
+		return 0, 0, false, nil
+	}
+	cores, _ = strconv.Atoi(m[1])
+	fanout, _ = strconv.Atoi(m[2])
+	if cores < 2 || fanout < 1 || fanout >= cores {
+		return 0, 0, true, fmt.Errorf("runner: rand spec %q out of range (need 2 ≤ cores, 1 ≤ fanout < cores)", spec)
+	}
+	return cores, fanout, true, nil
 }
 
 // preset is a parsed regular-topology benchmark spec.

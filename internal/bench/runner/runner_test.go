@@ -7,7 +7,9 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"github.com/nocdr/nocdr/internal/core"
 	"github.com/nocdr/nocdr/internal/traffic"
 )
 
@@ -130,6 +132,78 @@ func TestGridValidate(t *testing.T) {
 	}
 	if err := (Grid{Benchmarks: []string{"rand:2x5"}}).Validate(); err == nil {
 		t.Error("out-of-range rand spec accepted")
+	}
+}
+
+// TestGridValidateRandIsParsing pins that validating a rand: spec
+// parses it without generating the workload: RandomKOut is O(cores²), so
+// a large spec would otherwise stall the submitting handler before any
+// admission control. Acceptance is unchanged: the range check alone
+// decides.
+func TestGridValidateRandIsParsing(t *testing.T) {
+	start := time.Now()
+	if err := (Grid{Benchmarks: []string{"rand:100000x6"}, SwitchCounts: []int{8}}).Validate(); err != nil {
+		t.Fatalf("in-range rand spec rejected: %v", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Validate(rand:100000x6) took %v, want < 1s", d)
+	}
+	for spec, ok := range map[string]bool{
+		"rand:2x1": true, "rand:1x1": false, "rand:5x0": false, "rand:5x5": false,
+	} {
+		if err := (Grid{Benchmarks: []string{spec}}).Validate(); (err == nil) != ok {
+			t.Errorf("Validate(%s) = %v, want accepted=%v", spec, err, ok)
+		}
+	}
+}
+
+// TestPolicyNamesRoundTrip pins the one name table behind the grid's
+// Policies axis and the job API: every core policy survives name →
+// parse, and unknown names are rejected.
+func TestPolicyNamesRoundTrip(t *testing.T) {
+	seen := map[string]bool{}
+	for _, p := range []core.DirectionPolicy{core.BestOfBoth, core.ForwardOnly, core.BackwardOnly} {
+		name := DirectionName(p)
+		if name == "" || seen[name] {
+			t.Fatalf("direction %d has an empty or duplicate name %q", p, name)
+		}
+		seen[name] = true
+		if got, err := ParseDirection(name); err != nil || got != p {
+			t.Errorf("ParseDirection(%q) = %v, %v; want %v", name, got, err, p)
+		}
+	}
+	for _, c := range []core.CycleSelection{core.SmallestFirst, core.FirstFound} {
+		if got, err := ParsePolicy(selectionNames[c]); err != nil || got != c {
+			t.Errorf("ParsePolicy(%q) = %v, %v; want %v", selectionNames[c], got, err, c)
+		}
+	}
+	if p, err := ParseDirection(""); err != nil || p != core.BestOfBoth {
+		t.Errorf(`ParseDirection("") = %v, %v; want the paper default`, p, err)
+	}
+	if _, err := ParseDirection("sideways"); err == nil {
+		t.Error("unknown direction accepted")
+	}
+	if _, err := ParsePolicy("loudest"); err == nil {
+		t.Error("unknown selection accepted")
+	}
+}
+
+// TestCellKeyPinned pins sweep-cell content addresses: a plain cell and
+// one with every key-participating option set. A change to Job,
+// cellKeyParts or the option normalization moves these and would
+// silently orphan every persisted cell cache; a deliberate engine-salt
+// bump must update the literals with it.
+func TestCellKeyPinned(t *testing.T) {
+	plain := CellKey(Job{Benchmark: "D36_8", SwitchCount: 14, Policy: "smallest"}, Options{}, nil)
+	if want := "3cd15a2f9153e9cef3b8ec2de7cab8f6a251c78f6ecc53cdba49800f366fcb23"; plain != want {
+		t.Errorf("plain cell key %s, want %s", plain, want)
+	}
+	job := Job{Benchmark: "mesh:4", SwitchCount: 16, Routing: "odd-even", Faults: 1, Policy: "first", Seed: 7}
+	opts := Options{Policy: core.ForwardOnly, VCLimit: 12, FullRebuild: true, Simulate: true,
+		Sim: SimParams{Cycles: 5000, Load: 0.5, BufferDepth: 4, Seed: 2}, Certify: true, maxPaths: 3}
+	full := CellKey(job, opts, []float64{0.2, 0.6})
+	if want := "ca985c36746bcfb9b0f69f034336ec42752309699f7eef8d98cd47d8e93a69b7"; full != want {
+		t.Errorf("every-option cell key %s, want %s", full, want)
 	}
 }
 

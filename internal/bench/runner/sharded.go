@@ -22,8 +22,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/nocdr/nocdr/internal/certify"
-	"github.com/nocdr/nocdr/internal/core"
 	"github.com/nocdr/nocdr/internal/fabric"
 	"github.com/nocdr/nocdr/internal/nocerr"
 )
@@ -132,19 +130,32 @@ type WorkerSource interface {
 	Updates() <-chan struct{}
 }
 
-// shardRequest is the client side of serve's POST /v1/sweep body; field
-// names mirror the server's request schema.
-type shardRequest struct {
-	Grid     Grid      `json:"grid"`
+// SweepRequest is the POST /v1/sweep body: the one wire schema the job
+// server decodes and the sharded dispatcher encodes, so a forwarded run
+// is configured exactly like an identical local one.
+type SweepRequest struct {
+	Grid Grid `json:"grid"`
+	// Seeds/Loads are top-level aliases for grid.seeds/grid.loads,
+	// mirroring the CLI's -seeds/-loads flags; values inside the grid
+	// win when both are present.
+	Seeds    []int64   `json:"seeds,omitempty"`
+	Loads    []float64 `json:"loads,omitempty"`
 	Simulate bool      `json:"simulate"`
 	Sim      SimParams `json:"sim"`
-	Certify  bool      `json:"certify,omitempty"`
-	Parallel int       `json:"parallel,omitempty"`
-	Options  struct {
-		VCLimit     int    `json:"vc_limit"`
-		FullRebuild bool   `json:"full_rebuild"`
-		Policy      string `json:"policy"`
-		NoCache     bool   `json:"no_cache,omitempty"`
+	// Certify adds the independent-checker verification stage to every
+	// cell (the nocexp sweep -certify flag).
+	Certify bool `json:"certify,omitempty"`
+	// Parallel overrides the server's per-sweep runner worker count.
+	Parallel int `json:"parallel,omitempty"`
+	// Options carries the per-cell removal configuration.
+	Options struct {
+		VCLimit     int  `json:"vc_limit"`
+		FullRebuild bool `json:"full_rebuild"`
+		// Policy is a DirectionName spelling ("" = best).
+		Policy string `json:"policy"`
+		// NoCache forces recomputation of every cell, refreshing (never
+		// consulting) the per-cell result cache.
+		NoCache bool `json:"no_cache,omitempty"`
 	} `json:"options"`
 }
 
@@ -156,16 +167,19 @@ type wireStatus struct {
 	Result json.RawMessage `json:"result"`
 }
 
-// policyWire maps the direction policy to serve's wire spelling.
-func policyWire(p core.DirectionPolicy) string {
-	switch p {
-	case core.ForwardOnly:
-		return "forward"
-	case core.BackwardOnly:
-		return "backward"
-	default:
-		return "best"
+// terminal reports whether the job has reached a final state.
+func (st *wireStatus) terminal() bool {
+	return st.State == "done" || st.State == "failed" || st.State == "canceled"
+}
+
+// partial decodes whatever shard report a terminal job holds, marked
+// canceled unless the job completed (nil when it holds none).
+func (st *wireStatus) partial() *Report {
+	rep, _ := decodeShardReport(st.Result)
+	if rep != nil && st.State != "done" {
+		rep.Canceled = true
 	}
+	return rep
 }
 
 // outcome is one finished (or failed) shard attempt.
@@ -224,40 +238,26 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 		cacheRep     *Report
 		cachedShards = make([]bool, shards)
 		warm         map[int][]fabric.CacheEntry
+		hits         = probeCache(jobs, opts, grid.Loads)
 	)
 	for s := 0; s < shards; s++ {
 		if len(shardJobs[s]) == 0 {
 			continue
 		}
-		hits := make([]Result, 0, len(shardJobs[s]))
+		var served []Result
 		var entries []fabric.CacheEntry
-		if opts.CellCache != nil && !opts.NoCache {
-			for _, i := range shardJobs[s] {
-				key := CellKey(jobs[i], opts, grid.Loads)
-				data, ok := opts.CellCache.Get(key)
-				if !ok {
-					continue
-				}
-				var r Result
-				if err := json.Unmarshal(data, &r); err != nil || r.Job != jobs[i] {
-					continue
-				}
-				// Same poisoned-salt guard as the local pre-pass: a stored
-				// certificate from a different checker build voids the hit
-				// (and, at shard granularity, that cell re-runs remotely).
-				if opts.Certify && (r.Certify == nil || r.Certify.Salt != certify.Salt) {
-					continue
-				}
-				hits = append(hits, r)
-				entries = append(entries, fabric.CacheEntry{Key: key, Value: data})
+		for _, i := range shardJobs[s] {
+			if hits != nil && hits[i] != nil {
+				served = append(served, hits[i].res)
+				entries = append(entries, hits[i].entry)
 			}
 		}
-		if len(hits) == len(shardJobs[s]) && len(hits) > 0 {
+		if len(served) == len(shardJobs[s]) {
 			cachedShards[s] = true
 			if cacheRep == nil {
 				cacheRep = &Report{Grid: grid}
 			}
-			cacheRep.Results = append(cacheRep.Results, hits...)
+			cacheRep.Results = append(cacheRep.Results, served...)
 		} else {
 			pending = append(pending, s)
 			if len(entries) > 0 {
@@ -298,6 +298,10 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 		updates <-chan struct{}
 	)
 	spawn := func(url string) {
+		// Normalize once so every endpoint below is base+"/v1/...": a
+		// doubled slash would draw a ServeMux redirect, which a client
+		// replays as GET.
+		url = strings.TrimSuffix(url, "/")
 		if url == "" || known[url] {
 			return
 		}
@@ -315,24 +319,35 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 			}
 		}()
 	}
+	// admit spawns every source-listed worker not seen before.
+	admit := func() {
+		for _, u := range d.Source.WorkerURLs() {
+			spawn(u)
+		}
+	}
 	for _, u := range d.Workers {
 		spawn(u)
 	}
 	if d.Source != nil {
-		for _, u := range d.Source.WorkerURLs() {
-			spawn(u)
-		}
+		admit()
 		updates = d.Source.Updates()
 	}
 
 	// Global slot indices per cell key, consumed as progress callbacks
 	// fire so OnResult reports the same indices a local run would.
-	var slotOf map[string][]int
-	if opts.OnResult != nil {
-		slotOf = make(map[string][]int, len(jobs))
-		for i, j := range jobs {
-			k := j.Key()
-			slotOf[k] = append(slotOf[k], i)
+	slotOf := make(map[string][]int, len(jobs))
+	for i, j := range jobs {
+		k := j.Key()
+		slotOf[k] = append(slotOf[k], i)
+	}
+	notify := &notifier{progress: opts.Progress, onResult: opts.OnResult, total: len(jobs)}
+	noteResults := func(rep *Report) {
+		for _, res := range rep.Results {
+			slot := -1
+			if slots := slotOf[res.Job.Key()]; len(slots) > 0 {
+				slot, slotOf[res.Job.Key()] = slots[0], slots[1:]
+			}
+			notify.cell(slot, res, "")
 		}
 	}
 
@@ -342,24 +357,7 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 		inflight    int
 		fatal       error
 		interrupted bool
-		progressed  int
 	)
-	noteResults := func(rep *Report) {
-		for i := range rep.Results {
-			res := rep.Results[i]
-			progressed++
-			if opts.Progress != nil {
-				fmt.Fprintf(opts.Progress, "sweep %d/%d: %s\n", progressed, len(jobs), res.oneLine())
-			}
-			if opts.OnResult != nil {
-				k := res.Job.Key()
-				if slots := slotOf[k]; len(slots) > 0 {
-					slotOf[k] = slots[1:]
-					opts.OnResult(slots[0], len(jobs), res)
-				}
-			}
-		}
-	}
 	if cacheRep != nil {
 		// Cache-served shards complete up front, before any dispatch.
 		noteResults(cacheRep)
@@ -400,9 +398,7 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 					updates = nil
 					continue
 				}
-				for _, u := range d.Source.WorkerURLs() {
-					spawn(u)
-				}
+				admit()
 			case <-time.After(d.joinGrace()):
 				fatal = fmt.Errorf("%w: %d shard(s) unassigned and no worker joined within %v", nocerr.ErrWorker, len(pending), d.joinGrace())
 			case <-ctxDone:
@@ -457,9 +453,7 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 			}
 			// Mid-run membership change: admit workers never seen before;
 			// the assignment loop hands them pending shards immediately.
-			for _, u := range d.Source.WorkerURLs() {
-				spawn(u)
-			}
+			admit()
 		case <-ctxDone:
 			// Stop assigning; in-flight shards drain cooperatively
 			// through runShard's cancellation path. Nil the channel so a
@@ -483,19 +477,13 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 	if interrupted && ctx.Err() != nil {
 		rep.Canceled = true
 	}
-	if opts.CellCache != nil {
-		// Feed the coordinator cache from the merged report: every clean
-		// cell a worker computed this run (cache-served shards already
-		// hold these exact bytes and are skipped). rep.Results is in
-		// jobs order, so index i is cell jobs[i].
-		for i := range rep.Results {
-			r := rep.Results[i]
-			if cachedShards[ShardOf(jobs[i], shards)] || r.Error != "" || r.Canceled {
-				continue
-			}
-			if data, err := json.Marshal(r); err == nil {
-				opts.CellCache.Put(CellKey(jobs[i], opts, grid.Loads), data)
-			}
+	// Feed the coordinator cache from the merged report: every clean
+	// cell a worker computed this run (cache-served shards already hold
+	// these exact bytes and are skipped). rep.Results is in jobs order,
+	// so index i is cell jobs[i].
+	for i, r := range rep.Results {
+		if !cachedShards[ShardOf(jobs[i], shards)] {
+			storeCell(jobs[i], r, opts, grid.Loads)
 		}
 	}
 	return rep, nil
@@ -578,7 +566,7 @@ func parseRetryAfter(h string) time.Duration {
 // worker; the coordinator requeues the shard elsewhere). On cancellation
 // the worker-side job is canceled and its partial report drained.
 func (d *Sharded) runShard(ctx context.Context, worker string, grid Grid, shard, shards int, seed []fabric.CacheEntry, opts Options) (rep *Report, dead bool, err error) {
-	req := shardRequest{
+	req := SweepRequest{
 		Grid:     grid,
 		Simulate: opts.Simulate,
 		Sim:      opts.Sim,
@@ -587,7 +575,7 @@ func (d *Sharded) runShard(ctx context.Context, worker string, grid Grid, shard,
 	}
 	req.Options.VCLimit = opts.VCLimit
 	req.Options.FullRebuild = opts.FullRebuild
-	req.Options.Policy = policyWire(opts.Policy)
+	req.Options.Policy = DirectionName(opts.Policy)
 	req.Options.NoCache = opts.NoCache
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -641,13 +629,10 @@ func (d *Sharded) runShard(ctx context.Context, worker string, grid Grid, shard,
 			continue
 		}
 		pollFailures = 0
-		switch cur.State {
-		case "done", "failed", "canceled":
+		if cur.terminal() {
 			st = cur
-		default:
-			if wait.sleep(ctx, d.pollInterval()) != nil {
-				return d.drain(worker, id)
-			}
+		} else if wait.sleep(ctx, d.pollInterval()) != nil {
+			return d.drain(worker, id)
 		}
 	}
 	switch st.State {
@@ -663,11 +648,7 @@ func (d *Sharded) runShard(ctx context.Context, worker string, grid Grid, shard,
 		// Canceled server-side (shutdown, operator): whatever partial
 		// result exists still merges; missing cells surface as
 		// canceled slots.
-		rep, _ := decodeShardReport(st.Result)
-		if rep != nil {
-			rep.Canceled = true
-		}
-		return rep, false, nil
+		return st.partial(), false, nil
 	}
 }
 
@@ -709,7 +690,7 @@ func (d *Sharded) submitBackoff(ctx context.Context, worker string, shard, shard
 // pings idle streams, so that much silence means a dead peer).
 func (d *Sharded) streamTerminal(ctx context.Context, worker, id string) *wireStatus {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		strings.TrimSuffix(worker, "/")+"/v1/jobs/"+id+"/events", nil)
+		worker+"/v1/jobs/"+id+"/events", nil)
 	if err != nil {
 		return nil
 	}
@@ -742,11 +723,8 @@ func (d *Sharded) streamTerminal(ctx context.Context, worker, id string) *wireSt
 			// Blank line dispatches the accumulated event.
 			if event == "state" && data.Len() > 0 {
 				var st wireStatus
-				if json.Unmarshal(data.Bytes(), &st) == nil {
-					switch st.State {
-					case "done", "failed", "canceled":
-						return &st
-					}
+				if json.Unmarshal(data.Bytes(), &st) == nil && st.terminal() {
+					return &st
 				}
 			}
 			event = ""
@@ -788,13 +766,8 @@ func (d *Sharded) drain(worker, id string) (*Report, bool, error) {
 		if err != nil {
 			return nil, false, nil
 		}
-		switch st.State {
-		case "done", "failed", "canceled":
-			rep, _ := decodeShardReport(st.Result)
-			if rep != nil && st.State != "done" {
-				rep.Canceled = true
-			}
-			return rep, false, nil
+		if st.terminal() {
+			return st.partial(), false, nil
 		}
 		if wait.sleep(ctx, d.pollInterval()) != nil {
 			return nil, false, nil
@@ -804,7 +777,7 @@ func (d *Sharded) drain(worker, id string) (*Report, bool, error) {
 
 // submit POSTs the shard's sweep request and returns the accepted job ID.
 func (d *Sharded) submit(ctx context.Context, worker string, shard, shards int, body []byte) (string, error) {
-	url := fmt.Sprintf("%s/v1/sweep?shard=%d/%d", strings.TrimSuffix(worker, "/"), shard, shards)
+	url := fmt.Sprintf("%s/v1/sweep?shard=%d/%d", worker, shard, shards)
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return "", err
@@ -837,7 +810,7 @@ func (d *Sharded) submit(ctx context.Context, worker string, shard, shards int, 
 
 // jobStatus fetches one job-status document.
 func (d *Sharded) jobStatus(ctx context.Context, worker, id string) (*wireStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, strings.TrimSuffix(worker, "/")+"/v1/jobs/"+id, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, worker+"/v1/jobs/"+id, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -286,6 +286,42 @@ func TestShardedCancelMidSweep(t *testing.T) {
 	}
 }
 
+// TestShardedCancelTrailingSlashWorker pins cancellation for a worker
+// URL given with a trailing slash: the worker-side job must still be
+// canceled when the run is canceled mid-shard. The dispatcher
+// normalizes each URL once, so the cancel POST is never sent to a
+// doubled-slash path, which ServeMux answers with a redirect that the
+// client replays as a GET (a 405, leaving the job running).
+func TestShardedCancelTrailingSlashWorker(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var cancels atomic.Int32
+	urls := startWorkers(t, 1, func(_ int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch {
+			case r.Method == http.MethodPost && strings.HasPrefix(r.URL.Path, "/v1/jobs/") && strings.HasSuffix(r.URL.Path, "/cancel"):
+				cancels.Add(1)
+			case strings.HasSuffix(r.URL.Path, "/events"):
+				// The shard job is submitted and running: cancel the run.
+				cancel()
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	sh := &runner.Sharded{Workers: []string{urls[0] + "/"}, Shards: 1, DrainTimeout: 5 * time.Second}
+	grid := runner.Grid{Benchmarks: []string{"torus:4"}, Seeds: []int64{0, 1, 2, 3}}
+	rep, err := sh.RunContext(ctx, grid, runner.Options{Simulate: true, Sim: runner.SimParams{Cycles: 1 << 20}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Canceled {
+		t.Fatal("canceled run's report not marked canceled")
+	}
+	if n := cancels.Load(); n != 1 {
+		t.Fatalf("worker cancel endpoint hit %d times, want 1", n)
+	}
+}
+
 // TestShardedCorruptWorker pins the malformed-response contract: a
 // worker answering garbage (at submit or at poll) is retried, then the
 // run fails with a typed nocerr error — never a panic, never a mangled

@@ -88,33 +88,30 @@ type SimResult struct {
 // holdings actually interlock.
 const witnessFlits = 16
 
-// witnessWorkload constructs the adversarial counterexample for a cyclic
-// design: it finds the CDG's smallest cycle, identifies the flows whose
-// routes induce its dependency edges, and returns a copy of the traffic
-// graph in which exactly those flows inject saturated long-packet traffic
-// while every other flow is throttled to near silence. A blind saturation
-// run almost never trips an application-specific design's cycle (the
-// involved flows are usually low-bandwidth); driving the inducing flows
-// directly makes the latent hazard manifest within a short horizon. The
-// second return value is the number of saturated flows; a nil graph means
-// the CDG is acyclic.
-func witnessWorkload(g *traffic.Graph, top *topology.Topology, tab *route.Table) (*traffic.Graph, int, error) {
-	c, err := cdg.Build(top, tab)
+// witness constructs the adversarial counterexample for the pre-removal
+// design when it is cyclic: it finds the CDG's smallest cycle (in the
+// union CDG for a route set), identifies the flows whose routes induce
+// its dependency edges, and returns a copy of the traffic graph in which
+// exactly those flows inject saturated long-packet traffic while every
+// other flow is throttled to near silence. A blind saturation run almost
+// never trips an application-specific design's cycle (the involved flows
+// are usually low-bandwidth); driving the inducing flows directly makes
+// the latent hazard manifest within a short horizon. The second return
+// value is the number of saturated flows; a nil graph means the CDG is
+// acyclic.
+func (de *designEval) witness() (*traffic.Graph, int, error) {
+	if de.adaptive {
+		c, refs, err := cdg.BuildSet(de.preTop, de.preSet)
+		if err != nil {
+			return nil, 0, err
+		}
+		return witnessFromCDG(de.g, c, refs)
+	}
+	c, err := cdg.Build(de.preTop, de.preTab)
 	if err != nil {
 		return nil, 0, err
 	}
-	return witnessFromCDG(g, c, nil)
-}
-
-// witnessWorkloadSet is witnessWorkload over a route set: the smallest
-// cycle is found in the union CDG, and the pseudo-flows inducing its
-// edges are mapped back to the real flows that own the candidate paths.
-func witnessWorkloadSet(g *traffic.Graph, top *topology.Topology, set *route.RouteSet) (*traffic.Graph, int, error) {
-	c, refs, err := cdg.BuildSet(top, set)
-	if err != nil {
-		return nil, 0, err
-	}
-	return witnessFromCDG(g, c, refs)
+	return witnessFromCDG(de.g, c, nil)
 }
 
 // witnessFromCDG builds the witness graph given the (possibly flattened)
@@ -156,83 +153,47 @@ func witnessFromCDG(g *traffic.Graph, c *cdg.CDG, refs []route.PathRef) (*traffi
 	return w, len(hot), nil
 }
 
-// SimEval runs the flit-level verification stage for one evaluated cell.
-// For a cyclic design it constructs the witness workload and simulates it
-// on both the pre-removal design (negative control: must deadlock to
-// demonstrate the hazard) and the post-removal design (must survive the
-// identical adversarial workload). The post-removal design additionally
-// runs the plain workload at the configured load for latency percentiles
-// and throughput.
-func SimEval(g *traffic.Graph,
-	preTop *topology.Topology, preTab *route.Table, initialAcyclic bool,
-	postTop *topology.Topology, postTab *route.Table,
-	params SimParams) (*SimResult, error) {
-	return SimEvalContext(context.Background(), g, preTop, preTab, initialAcyclic, postTop, postTab, params)
-}
-
-// SimEvalContext is SimEval with cooperative cancellation threaded into
-// every simulation run's flit-stepping loop.
+// SimEvalContext runs the flit-level verification stage for one
+// evaluated cell. For a cyclic design it constructs the witness workload
+// and simulates it on both the pre-removal design (negative control:
+// must deadlock to demonstrate the hazard) and the post-removal design
+// (must survive the identical adversarial workload). The post-removal
+// design additionally runs the plain workload at the configured load for
+// latency percentiles and throughput. ctx is threaded into every
+// simulation run's flit-stepping loop.
 func SimEvalContext(ctx context.Context, g *traffic.Graph,
 	preTop *topology.Topology, preTab *route.Table, initialAcyclic bool,
 	postTop *topology.Topology, postTab *route.Table,
 	params SimParams) (*SimResult, error) {
-
-	return simEval(ctx, g, initialAcyclic, params,
-		func(w *traffic.Graph) (*traffic.Graph, int, error) { return witnessWorkload(w, preTop, preTab) },
-		func(w *traffic.Graph, cfg wormhole.Config) (*wormhole.Simulator, error) {
-			return wormhole.New(preTop, w, preTab, cfg)
-		},
-		func(w *traffic.Graph, cfg wormhole.Config) (*wormhole.Simulator, error) {
-			return wormhole.New(postTop, w, postTab, cfg)
-		})
+	de := &designEval{g: g, preTop: preTop, preTab: preTab, postTop: postTop, postTab: postTab, initialAcyclic: initialAcyclic}
+	return de.simulate(ctx, params)
 }
 
-// SimEvalSet is SimEval for adaptive route sets: the witness workload is
-// derived from the union CDG, and both designs simulate under the
-// adaptive engine with params.Adaptive output selection.
-func SimEvalSet(g *traffic.Graph,
-	preTop *topology.Topology, preSet *route.RouteSet, initialAcyclic bool,
-	postTop *topology.Topology, postSet *route.RouteSet,
-	params SimParams) (*SimResult, error) {
-	return SimEvalSetContext(context.Background(), g, preTop, preSet, initialAcyclic, postTop, postSet, params)
-}
-
-// SimEvalSetContext is SimEvalSet with cooperative cancellation.
+// SimEvalSetContext is SimEvalContext for adaptive route sets: the
+// witness workload is derived from the union CDG, and both designs
+// simulate under the adaptive engine with params.Adaptive output
+// selection.
 func SimEvalSetContext(ctx context.Context, g *traffic.Graph,
 	preTop *topology.Topology, preSet *route.RouteSet, initialAcyclic bool,
 	postTop *topology.Topology, postSet *route.RouteSet,
 	params SimParams) (*SimResult, error) {
-
-	return simEval(ctx, g, initialAcyclic, params,
-		func(w *traffic.Graph) (*traffic.Graph, int, error) { return witnessWorkloadSet(w, preTop, preSet) },
-		func(w *traffic.Graph, cfg wormhole.Config) (*wormhole.Simulator, error) {
-			return wormhole.NewAdaptive(preTop, w, preSet, cfg)
-		},
-		func(w *traffic.Graph, cfg wormhole.Config) (*wormhole.Simulator, error) {
-			return wormhole.NewAdaptive(postTop, w, postSet, cfg)
-		})
+	de := &designEval{g: g, preTop: preTop, preSet: preSet, postTop: postTop, postSet: postSet, initialAcyclic: initialAcyclic, adaptive: true}
+	return de.simulate(ctx, params)
 }
 
-// simEval is the verification-stage harness shared by the single-path
-// and adaptive evaluations: negative control on the pre-removal design
-// under the constructed witness (when the CDG was cyclic), the identical
-// witness on the post-removal design, then the plain measurement run.
-func simEval(ctx context.Context, g *traffic.Graph, initialAcyclic bool, params SimParams,
-	witness func(*traffic.Graph) (*traffic.Graph, int, error),
-	preSim, postSim func(*traffic.Graph, wormhole.Config) (*wormhole.Simulator, error)) (*SimResult, error) {
-
+// simulate is the per-cell verification stage on a built design — the
+// sequential oracle the batched path is pinned against: negative control
+// on the pre-removal design under the constructed witness (when the CDG
+// was cyclic), the identical witness on the post-removal design, then
+// the plain measurement run.
+func (de *designEval) simulate(ctx context.Context, params SimParams) (*SimResult, error) {
 	params = params.withDefaults()
 	res := &SimResult{}
-	cfg := wormhole.Config{
-		MaxCycles:   params.Cycles,
-		LoadFactor:  params.Load,
-		BufferDepth: params.BufferDepth,
-		Seed:        params.Seed,
-		Adaptive:    params.Adaptive,
-	}
+	cfg := params.config()
+	cfg.Seed = params.Seed
 
-	if !initialAcyclic {
-		w, nflows, err := witness(g)
+	if !de.initialAcyclic {
+		w, nflows, err := de.witness()
 		if err != nil {
 			return nil, fmt.Errorf("runner: witness workload: %w", err)
 		}
@@ -244,7 +205,7 @@ func simEval(ctx context.Context, g *traffic.Graph, initialAcyclic bool, params 
 			// negative control, so the witness runs always pin load 1.
 			witnessCfg := cfg
 			witnessCfg.LoadFactor = 1.0
-			pre, err := preSim(w, witnessCfg)
+			pre, err := de.newSim(true, w, witnessCfg)
 			if err != nil {
 				return nil, fmt.Errorf("runner: pre-removal sim: %w", err)
 			}
@@ -258,7 +219,7 @@ func simEval(ctx context.Context, g *traffic.Graph, initialAcyclic bool, params 
 			// The removed design must survive the same adversarial
 			// workload that just deadlocked (or at least stressed) the
 			// original.
-			postW, err := postSim(w, witnessCfg)
+			postW, err := de.newSim(false, w, witnessCfg)
 			if err != nil {
 				return nil, fmt.Errorf("runner: post-removal witness sim: %w", err)
 			}
@@ -274,7 +235,7 @@ func simEval(ctx context.Context, g *traffic.Graph, initialAcyclic bool, params 
 
 	postCfg := cfg
 	postCfg.CollectLatencies = true
-	post, err := postSim(g, postCfg)
+	post, err := de.newSim(false, de.g, postCfg)
 	if err != nil {
 		return nil, fmt.Errorf("runner: post-removal sim: %w", err)
 	}
@@ -282,32 +243,65 @@ func simEval(ctx context.Context, g *traffic.Graph, initialAcyclic bool, params 
 	if err != nil {
 		return nil, fmt.Errorf("runner: post-removal sim: %w", err)
 	}
-	res.PostDeadlock = res.PostDeadlock || st.Deadlocked
-	res.PostDelivered = st.DeliveredPackets
-	res.PostAvgLatency = st.AvgLatency()
-	res.PostP50 = st.LatencyPercentile(50)
-	res.PostP95 = st.LatencyPercentile(95)
-	res.PostP99 = st.LatencyPercentile(99)
-	res.PostThroughput = st.ThroughputFlitsPerCycle()
+	res.measure(st)
 	return res, nil
+}
+
+// config is the simulator configuration the (defaulted) parameters
+// select, without a seed: the per-cell path seeds it directly, the
+// batched path per lane.
+func (p SimParams) config() wormhole.Config {
+	return wormhole.Config{
+		MaxCycles:   p.Cycles,
+		LoadFactor:  p.Load,
+		BufferDepth: p.BufferDepth,
+		Adaptive:    p.Adaptive,
+	}
+}
+
+// measure records the post-removal measurement run's verdict and
+// service metrics.
+func (r *SimResult) measure(st *wormhole.Stats) {
+	r.PostDeadlock = r.PostDeadlock || st.Deadlocked
+	r.PostDelivered = st.DeliveredPackets
+	r.PostAvgLatency = st.AvgLatency()
+	r.PostP50 = st.LatencyPercentile(50)
+	r.PostP95 = st.LatencyPercentile(95)
+	r.PostP99 = st.LatencyPercentile(99)
+	r.PostThroughput = st.ThroughputFlitsPerCycle()
+}
+
+// half returns the pre- or post-removal design's topology and routes
+// (the table for single-path designs, the set for adaptive ones).
+func (de *designEval) half(pre bool) (*topology.Topology, *route.Table, *route.RouteSet) {
+	if pre {
+		return de.preTop, de.preTab, de.preSet
+	}
+	return de.postTop, de.postTab, de.postSet
+}
+
+// newSim builds a simulator over one of the design's two halves.
+func (de *designEval) newSim(pre bool, w *traffic.Graph, cfg wormhole.Config) (*wormhole.Simulator, error) {
+	top, tab, set := de.half(pre)
+	if de.adaptive {
+		return wormhole.NewAdaptive(top, w, set, cfg)
+	}
+	return wormhole.New(top, w, tab, cfg)
 }
 
 // newBatch builds a lockstep batch over one of the design's two halves.
 func (de *designEval) newBatch(pre bool, w *traffic.Graph, cfg wormhole.Config, vs []wormhole.Variant) (*wormhole.Batch, error) {
-	top, tab, set := de.postTop, de.postTab, de.postSet
-	if pre {
-		top, tab, set = de.preTop, de.preTab, de.preSet
-	}
+	top, tab, set := de.half(pre)
 	if de.adaptive {
 		return wormhole.NewAdaptiveBatch(top, w, set, cfg, vs)
 	}
 	return wormhole.NewBatch(top, w, tab, cfg, vs)
 }
 
-// simEvalBatch is the batched verification stage: simEval's exact
+// simEvalBatch is the batched verification stage: simulate's exact
 // pre-witness → post-witness → measurement sequence, with each stage run
 // as one lockstep batch across the group's per-cell seeds instead of a
-// simulator per cell. Per-cell outcomes are byte-identical to simEval
+// simulator per cell. Per-cell outcomes are byte-identical to simulate
 // with the same seed (the grouped-sweep differential pins this). When
 // loads is non-empty, the measurement batch additionally carries one
 // lane per (seed, load) pair and the extra points land in each cell's
@@ -318,12 +312,7 @@ func (de *designEval) simEvalBatch(ctx context.Context, params SimParams, seeds 
 	for i := range results {
 		results[i] = &SimResult{}
 	}
-	cfg := wormhole.Config{
-		MaxCycles:   params.Cycles,
-		LoadFactor:  params.Load,
-		BufferDepth: params.BufferDepth,
-		Adaptive:    params.Adaptive,
-	}
+	cfg := params.config()
 	// One witness lane per seed. A seed of 0 normalizes to the base
 	// config's defaulted seed inside the batch — the same fallback a
 	// zero Config.Seed gets on the per-cell path.
@@ -333,19 +322,12 @@ func (de *designEval) simEvalBatch(ctx context.Context, params SimParams, seeds 
 	}
 
 	if !de.initialAcyclic {
-		var w *traffic.Graph
-		var nflows int
-		var err error
-		if de.adaptive {
-			w, nflows, err = witnessWorkloadSet(de.g, de.preTop, de.preSet)
-		} else {
-			w, nflows, err = witnessWorkload(de.g, de.preTop, de.preTab)
-		}
+		w, nflows, err := de.witness()
 		if err != nil {
 			return nil, fmt.Errorf("runner: witness workload: %w", err)
 		}
 		if w != nil {
-			// See simEval: the witness runs always pin load 1.
+			// See simulate: the witness runs always pin load 1.
 			witnessCfg := cfg
 			witnessCfg.LoadFactor = 1.0
 			pre, err := de.newBatch(true, w, witnessCfg, witnessVs)
@@ -397,14 +379,7 @@ func (de *designEval) simEvalBatch(ctx context.Context, params SimParams, seeds 
 		return nil, fmt.Errorf("runner: post-removal sim: %w", err)
 	}
 	for i, res := range results {
-		st := stats[i*stride]
-		res.PostDeadlock = res.PostDeadlock || st.Deadlocked
-		res.PostDelivered = st.DeliveredPackets
-		res.PostAvgLatency = st.AvgLatency()
-		res.PostP50 = st.LatencyPercentile(50)
-		res.PostP95 = st.LatencyPercentile(95)
-		res.PostP99 = st.LatencyPercentile(99)
-		res.PostThroughput = st.ThroughputFlitsPerCycle()
+		res.measure(stats[i*stride])
 		for j, l := range loads {
 			lst := stats[i*stride+1+j]
 			res.LoadSweep = append(res.LoadSweep, LoadPoint{

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	nocdr "github.com/nocdr/nocdr"
+	"github.com/nocdr/nocdr/internal/bench/runner"
 	"github.com/nocdr/nocdr/internal/certify"
 	"github.com/nocdr/nocdr/internal/fabric"
 	"github.com/nocdr/nocdr/internal/nocerr"
@@ -180,6 +181,21 @@ type removeResult struct {
 	Routes         *nocdr.RouteTable `json:"routes"`
 }
 
+// policyOptions maps the wire policy (direction) and selection names
+// through runner's name table, shared with the sweep grid and the
+// sharded dispatcher; an unknown name is invalid input.
+func policyOptions(policy, selection string) ([]nocdr.Option, error) {
+	p, err := runner.ParseDirection(policy)
+	if err != nil {
+		return nil, fmt.Errorf("%w: unknown policy %q", nocerr.ErrInvalidInput, policy)
+	}
+	sel, err := runner.ParsePolicy(selection)
+	if err != nil {
+		return nil, fmt.Errorf("%w: unknown selection %q", nocerr.ErrInvalidInput, selection)
+	}
+	return []nocdr.Option{nocdr.WithPolicy(p), nocdr.WithSelection(sel)}, nil
+}
+
 func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 	var req removeRequest
 	if !s.decode(w, r, &req) {
@@ -189,31 +205,16 @@ func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: topology and routes are required", nocerr.ErrInvalidInput))
 		return
 	}
-	opts := []nocdr.Option{
+	opts, err := policyOptions(req.Options.Policy, req.Options.Selection)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	opts = append(opts,
 		nocdr.WithVCLimit(req.Options.VCLimit),
 		nocdr.WithMaxIterations(req.Options.MaxIterations),
 		nocdr.WithFullRebuild(req.Options.FullRebuild),
-	}
-	switch req.Options.Policy {
-	case "", "best":
-		opts = append(opts, nocdr.WithPolicy(nocdr.BestOfBoth))
-	case "forward":
-		opts = append(opts, nocdr.WithPolicy(nocdr.ForwardOnly))
-	case "backward":
-		opts = append(opts, nocdr.WithPolicy(nocdr.BackwardOnly))
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: unknown policy %q", nocerr.ErrInvalidInput, req.Options.Policy))
-		return
-	}
-	switch req.Options.Selection {
-	case "", "smallest":
-		opts = append(opts, nocdr.WithSelection(nocdr.SmallestFirst))
-	case "first":
-		opts = append(opts, nocdr.WithSelection(nocdr.FirstFound))
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: unknown selection %q", nocerr.ErrInvalidInput, req.Options.Selection))
-		return
-	}
+	)
 	// The cache key spans every semantic input; the bypass flag must
 	// address the same entry it refreshes, so it is zeroed out.
 	keyReq := req
@@ -241,34 +242,6 @@ func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// sweepRequest is the POST /v1/sweep body.
-type sweepRequest struct {
-	Grid nocdr.SweepGrid `json:"grid"`
-	// Seeds/Loads are top-level aliases for grid.seeds/grid.loads,
-	// mirroring the CLI's -seeds/-loads flags; values inside the grid
-	// win when both are present.
-	Seeds    []int64         `json:"seeds"`
-	Loads    []float64       `json:"loads"`
-	Simulate bool            `json:"simulate"`
-	Sim      nocdr.SimParams `json:"sim"`
-	// Certify adds the independent-checker verification stage to every
-	// cell (the nocexp sweep -certify flag).
-	Certify bool `json:"certify"`
-	// Parallel overrides the server's per-sweep runner worker count.
-	Parallel int `json:"parallel"`
-	// Options carries the per-cell removal policy, so a sharded
-	// coordinator can forward its full configuration and keep shard
-	// results byte-identical to a local run.
-	Options struct {
-		VCLimit     int    `json:"vc_limit"`
-		FullRebuild bool   `json:"full_rebuild"`
-		Policy      string `json:"policy"` // "", "best", "forward", "backward"
-		// NoCache forces recomputation of every cell, refreshing (never
-		// consulting) the per-cell result cache.
-		NoCache bool `json:"no_cache"`
-	} `json:"options"`
-}
-
 // parseShard resolves the ?shard=i/n query filter of /v1/sweep. An empty
 // spec means unsharded.
 func parseShard(spec string) (index, count int, err error) {
@@ -289,7 +262,7 @@ func parseShard(spec string) (index, count int, err error) {
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req sweepRequest
+	var req runner.SweepRequest
 	if !s.decode(w, r, &req) {
 		return
 	}
@@ -308,21 +281,17 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	extra := []nocdr.Option{
-		nocdr.WithVCLimit(req.Options.VCLimit),
-		nocdr.WithFullRebuild(req.Options.FullRebuild),
-	}
-	switch req.Options.Policy {
-	case "", "best":
-		extra = append(extra, nocdr.WithPolicy(nocdr.BestOfBoth))
-	case "forward":
-		extra = append(extra, nocdr.WithPolicy(nocdr.ForwardOnly))
-	case "backward":
-		extra = append(extra, nocdr.WithPolicy(nocdr.BackwardOnly))
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: unknown policy %q", nocerr.ErrInvalidInput, req.Options.Policy))
+	// The sweep's cycle selection is the grid's Policies axis, so only
+	// the direction policy comes from the options.
+	extra, err := policyOptions(req.Options.Policy, "")
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	extra = append(extra,
+		nocdr.WithVCLimit(req.Options.VCLimit),
+		nocdr.WithFullRebuild(req.Options.FullRebuild),
+	)
 	if req.Parallel > 0 {
 		extra = append(extra, nocdr.WithParallel(req.Parallel))
 	}
@@ -496,30 +465,15 @@ func (s *Server) handleReconfigure(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: design and at least one fault are required", nocerr.ErrInvalidInput))
 		return
 	}
-	opts := []nocdr.Option{
+	opts, err := policyOptions(req.Options.Policy, req.Options.Selection)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	opts = append(opts,
 		nocdr.WithVCLimit(req.Options.VCLimit),
 		nocdr.WithMaxIterations(req.Options.MaxIterations),
-	}
-	switch req.Options.Policy {
-	case "", "best":
-		opts = append(opts, nocdr.WithPolicy(nocdr.BestOfBoth))
-	case "forward":
-		opts = append(opts, nocdr.WithPolicy(nocdr.ForwardOnly))
-	case "backward":
-		opts = append(opts, nocdr.WithPolicy(nocdr.BackwardOnly))
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: unknown policy %q", nocerr.ErrInvalidInput, req.Options.Policy))
-		return
-	}
-	switch req.Options.Selection {
-	case "", "smallest":
-		opts = append(opts, nocdr.WithSelection(nocdr.SmallestFirst))
-	case "first":
-		opts = append(opts, nocdr.WithSelection(nocdr.FirstFound))
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: unknown selection %q", nocerr.ErrInvalidInput, req.Options.Selection))
-		return
-	}
+	)
 	faults := make([]nocdr.LinkID, 0, len(req.Faults))
 	for _, f := range req.Faults {
 		faults = append(faults, nocdr.LinkID(f))

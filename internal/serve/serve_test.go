@@ -689,25 +689,14 @@ func TestReconfigureJobLifecycle(t *testing.T) {
 // TestReconfigureRejectsBadInput pins the submission-time error surface.
 func TestReconfigureRejectsBadInput(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
-	design, faults := reconfigDesignJSON(t)
+	design, _ := reconfigDesignJSON(t)
 	if code := postJSON(t, ts.URL+"/v1/reconfigure", map[string]any{}, nil); code != http.StatusBadRequest {
 		t.Fatalf("empty body accepted: status %d", code)
 	}
 	if code := postJSON(t, ts.URL+"/v1/reconfigure", map[string]any{"design": design}, nil); code != http.StatusBadRequest {
 		t.Fatalf("missing faults accepted: status %d", code)
 	}
-	if code := postJSON(t, ts.URL+"/v1/reconfigure", map[string]any{
-		"design": design, "faults": faults,
-		"options": map[string]any{"policy": "sideways"},
-	}, nil); code != http.StatusBadRequest {
-		t.Fatalf("unknown policy accepted: status %d", code)
-	}
-	if code := postJSON(t, ts.URL+"/v1/reconfigure", map[string]any{
-		"design": design, "faults": faults,
-		"options": map[string]any{"selection": "loudest"},
-	}, nil); code != http.StatusBadRequest {
-		t.Fatalf("unknown selection accepted: status %d", code)
-	}
+	// Unknown policy and selection names: TestPolicyNamesRejected.
 	// A fault the design cannot survive (out of range) fails the job, not
 	// the submission — it is a runtime property of the design.
 	var sub submitResponse
