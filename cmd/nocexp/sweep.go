@@ -177,29 +177,31 @@ func runSweep(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		fleetClient = fabric.HTTPClient(tcfg, 0)
 	}
 	var rep *runner.Report
-	switch {
-	case *coordinator != "":
-		src, werr := fabric.WatchWorkers(ctx, *coordinator, *token, 0, fleetClient)
-		if werr != nil {
-			return werr
-		}
-		defer src.Close()
-		rep, err = (&runner.Sharded{Source: src, AuthToken: *token, Client: fleetClient}).RunContext(ctx, grid, opts)
-	case *workers != "" || *shardLocal > 0:
-		urls := splitCSV(*workers)
+	if *coordinator != "" || *workers != "" || *shardLocal > 0 {
+		// One dispatcher for every fleet shape: static URLs, loopback
+		// workers, or a coordinator's live registry.
+		sh := &runner.Sharded{Workers: splitCSV(*workers), AuthToken: *token, Client: fleetClient}
 		if *shardLocal > 0 {
 			// Split the machine's budget across the spawned workers
 			// instead of oversubscribing it shard-local-fold.
 			per := max(1, *parallel / *shardLocal)
 			var shutdown func()
-			urls, shutdown, err = serve.LocalCluster(*shardLocal, serve.Options{Workers: 2, SweepParallel: per})
+			sh.Workers, shutdown, err = serve.LocalCluster(*shardLocal, serve.Options{Workers: 2, SweepParallel: per})
 			if err != nil {
 				return err
 			}
 			defer shutdown()
 		}
-		rep, err = (&runner.Sharded{Workers: urls, AuthToken: *token, Client: fleetClient}).RunContext(ctx, grid, opts)
-	default:
+		if *coordinator != "" {
+			src, werr := fabric.WatchWorkers(ctx, *coordinator, *token, 0, fleetClient)
+			if werr != nil {
+				return werr
+			}
+			defer src.Close()
+			sh.Source = src
+		}
+		rep, err = sh.RunContext(ctx, grid, opts)
+	} else {
 		rep, err = runner.RunContext(ctx, grid, opts)
 	}
 	if cache != nil {
@@ -258,14 +260,7 @@ func runSweep(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 			}
 			simulated++
 			if r.Sim.PostDeadlock {
-				cell := fmt.Sprintf("%s@%d/%s/seed%d", r.Benchmark, r.SwitchCount, r.Policy, r.Seed)
-				if r.Routing != "" {
-					cell += "/" + r.Routing
-				}
-				if r.Faults > 0 {
-					cell += fmt.Sprintf("/f%d", r.Faults)
-				}
-				return fmt.Errorf("verification FAILED: %s deadlocked after removal", cell)
+				return fmt.Errorf("verification FAILED: %s deadlocked after removal", r.Label())
 			}
 		}
 		if simulated == 0 && !rep.Canceled {
@@ -284,14 +279,7 @@ func runSweep(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 			}
 			certified++
 			if !r.Certify.Agree {
-				cell := fmt.Sprintf("%s@%d/%s/seed%d", r.Benchmark, r.SwitchCount, r.Policy, r.Seed)
-				if r.Routing != "" {
-					cell += "/" + r.Routing
-				}
-				if r.Faults > 0 {
-					cell += fmt.Sprintf("/f%d", r.Faults)
-				}
-				return fmt.Errorf("verification FAILED: %s: certified re-check disagrees: %s", cell, r.Certify.Mismatch)
+				return fmt.Errorf("verification FAILED: %s: certified re-check disagrees: %s", r.Label(), r.Certify.Mismatch)
 			}
 		}
 		if certified == 0 && !rep.Canceled {

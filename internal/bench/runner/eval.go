@@ -85,7 +85,10 @@ func EvaluateContext(ctx context.Context, g *traffic.Graph, switchCount int, opt
 // cores is the workload's core count, known once the workload exists
 // (0 when resolving it failed).
 func buildCell(ctx context.Context, job Job, opts EvalOptions) (de *designEval, cores int, skipped bool, err error) {
-	if preset, ok := parsePreset(job.Benchmark); ok {
+	if preset, ok, err := parsePreset(job.Benchmark); ok {
+		if err != nil {
+			return nil, 0, false, err
+		}
 		grid, g, err := preset.build()
 		if err != nil {
 			return nil, 0, false, err

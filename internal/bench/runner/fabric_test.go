@@ -10,15 +10,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/nocdr/nocdr/internal/bench/runner"
 	"github.com/nocdr/nocdr/internal/fabric"
+	"github.com/nocdr/nocdr/internal/nocerr"
 	"github.com/nocdr/nocdr/internal/serve"
 )
 
@@ -132,9 +135,8 @@ func TestShardedLateJoinPicksUpUnownedShards(t *testing.T) {
 		src.set(urls...)
 	}()
 	sh := &runner.Sharded{
-		Source:       src,
-		JoinGrace:    30 * time.Second,
-		PollInterval: 5 * time.Millisecond,
+		Source:    src,
+		JoinGrace: 30 * time.Second,
 	}
 	rep, err := sh.RunContext(context.Background(), grid, runner.Options{})
 	if err != nil {
@@ -176,6 +178,104 @@ func TestShardedEmptySourceFailsFast(t *testing.T) {
 	}
 }
 
+// TestShardedJoinGraceIsADeadline pins JoinGrace as one deadline armed
+// when the live fleet empties: a source that keeps signalling without
+// admitting anyone (a flapping registry that re-lists the one worker the
+// run already retired) must not restart it.
+func TestShardedJoinGraceIsADeadline(t *testing.T) {
+	down := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "unavailable", http.StatusInternalServerError)
+	}))
+	defer down.Close()
+	src := newFakeSource(down.URL)
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		tick := time.NewTicker(20 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				src.set(down.URL)
+			}
+		}
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	sh := &runner.Sharded{Source: src, JoinGrace: 200 * time.Millisecond}
+	start := time.Now()
+	_, err := sh.RunContext(ctx, runner.Grid{Benchmarks: []string{"mesh:3"}, Seeds: []int64{0}}, runner.Options{})
+	if !errors.Is(err, nocerr.ErrWorker) || !strings.Contains(err.Error(), "no worker joined within") {
+		t.Fatalf("expected the join-grace failure, got %v", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("join grace expired after %v, want < 1s", d)
+	}
+}
+
+// TestShardedWorkersAndSource pins the membership Session builds for
+// WithWorkers plus WithWorkerSource: static URLs and a source whose
+// snapshots repeat one of them admit each worker once. A worker admitted
+// twice would take two shards at a time, so every submit is held briefly
+// and overlapping submits to one worker fail the test.
+func TestShardedWorkersAndSource(t *testing.T) {
+	grid := conformanceGrid()
+	serial, err := runner.Run(grid, runner.Options{Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := reportBytes(t, serial)
+
+	counts := make([]int64, 2)
+	var inSubmit [2]atomic.Int32
+	var overlapped atomic.Bool
+	count := countSubmits(counts)
+	urls := startWorkers(t, 2, func(i int, h http.Handler) http.Handler {
+		h = count(i, h)
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost && strings.HasPrefix(r.URL.Path, "/v1/sweep") {
+				if inSubmit[i].Add(1) > 1 {
+					overlapped.Store(true)
+				}
+				defer inSubmit[i].Add(-1)
+				time.Sleep(20 * time.Millisecond)
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	src := newFakeSource(urls[1] + "/")
+	src.updates <- struct{}{} // a pending signal that re-lists it
+	var retries atomic.Int32
+	sh := &runner.Sharded{Workers: urls, Source: src, OnRetry: func(int, string, error) { retries.Add(1) }}
+	rep, err := sh.RunContext(context.Background(), grid, runner.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reportBytes(t, rep); !bytes.Equal(want, got) {
+		t.Fatalf("Workers+Source report differs from serial:\nserial:\n%s\ngot:\n%s", want, got)
+	}
+	if overlapped.Load() {
+		t.Fatal("a worker took two shards at once: it was admitted more than once")
+	}
+	if n := retries.Load(); n != 0 {
+		t.Fatalf("%d shard retries in a healthy fleet", n)
+	}
+	shards := make(map[int]bool)
+	for _, j := range grid.Jobs() {
+		shards[runner.ShardOf(j, runner.DefaultShardCount)] = true
+	}
+	if n := totalSubmits(counts); n != int64(len(shards)) {
+		t.Fatalf("%d submits for %d shards, want one each", n, len(shards))
+	}
+	for i, c := range counts {
+		if c == 0 {
+			t.Fatalf("worker %d took no shard", i)
+		}
+	}
+}
+
 // TestShardedCacheSecondRunDispatchesNothing is the coordinator-cache
 // conformance centerpiece: run a sweep twice against the same cache;
 // the second run must answer every shard from the cache — zero HTTP
@@ -193,7 +293,7 @@ func TestShardedCacheSecondRunDispatchesNothing(t *testing.T) {
 	cache := fabric.NewCache(fabric.CacheOptions{})
 	opts := runner.Options{CellCache: cache}
 
-	sh := &runner.Sharded{Workers: urls, PollInterval: 5 * time.Millisecond}
+	sh := &runner.Sharded{Workers: urls}
 	rep1, err := sh.RunContext(context.Background(), grid, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +337,7 @@ func TestShardedCachePartialEviction(t *testing.T) {
 	urls := startWorkers(t, 1, countSubmits(counts))
 	cache := newMapCache()
 	opts := runner.Options{CellCache: cache}
-	sh := &runner.Sharded{Workers: urls, PollInterval: 5 * time.Millisecond}
+	sh := &runner.Sharded{Workers: urls}
 	if _, err := sh.RunContext(context.Background(), grid, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +381,7 @@ func TestShardedNoCacheBypassesButRefreshes(t *testing.T) {
 	urls := startWorkers(t, 1, nil)
 	cache := newMapCache()
 	opts := runner.Options{CellCache: cache}
-	sh := &runner.Sharded{Workers: urls, PollInterval: 5 * time.Millisecond}
+	sh := &runner.Sharded{Workers: urls}
 	if _, err := sh.RunContext(context.Background(), grid, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -365,9 +465,8 @@ func TestShardedHeartbeatRetirementRequeues(t *testing.T) {
 	defer src.Close()
 
 	sh := &runner.Sharded{
-		Source:       src,
-		PollInterval: 5 * time.Millisecond,
-		JoinGrace:    30 * time.Second,
+		Source:    src,
+		JoinGrace: 30 * time.Second,
 	}
 	rep, err := sh.RunContext(context.Background(), grid, runner.Options{})
 	if err != nil {

@@ -24,7 +24,7 @@ type groupKey struct {
 // seeded traffic graph, and faulted preset cells mask a seeded link
 // selection.
 func designDependsOnSeed(job Job) bool {
-	if _, ok := parsePreset(job.Benchmark); ok {
+	if _, ok, _ := parsePreset(job.Benchmark); ok {
 		return job.Faults > 0
 	}
 	return randSpec.MatchString(job.Benchmark)

@@ -134,7 +134,7 @@ func (g Grid) Jobs() []Job {
 		counts := g.SwitchCounts
 		rts := []string{""}
 		faults := 0
-		if p, ok := parsePreset(b); ok {
+		if p, ok, _ := parsePreset(b); ok {
 			counts = []int{p.cols * p.rows}
 			rts = routings
 			faults = g.Faults
@@ -159,8 +159,11 @@ func (g Grid) Jobs() []Job {
 func (g Grid) Validate() error {
 	n := g.normalized()
 	for _, b := range n.Benchmarks {
-		if p, ok := parsePreset(b); ok {
-			if _, _, err := p.build(); err != nil {
+		if p, ok, err := parsePreset(b); ok {
+			if err == nil {
+				_, _, err = p.build()
+			}
+			if err != nil {
 				return err
 			}
 			continue
@@ -221,6 +224,20 @@ type Job struct {
 	Faults int    `json:"faults,omitempty"`
 	Policy string `json:"policy"`
 	Seed   int64  `json:"seed"`
+}
+
+// Label is the cell's identity as progress lines and verification
+// errors print it: benchmark@switches/policy/seed, then /routing and
+// /f<faults> when set.
+func (j Job) Label() string {
+	id := fmt.Sprintf("%s@%d/%s/seed%d", j.Benchmark, j.SwitchCount, j.Policy, j.Seed)
+	if j.Routing != "" {
+		id += "/" + j.Routing
+	}
+	if j.Faults > 0 {
+		id += fmt.Sprintf("/f%d", j.Faults)
+	}
+	return id
 }
 
 // Result is one evaluated job. Wall-clock timings are carried for
@@ -574,13 +591,7 @@ func (r Result) fail(err error) Result {
 }
 
 func (r Result) oneLine() string {
-	id := fmt.Sprintf("%s@%d/%s/seed%d", r.Benchmark, r.SwitchCount, r.Policy, r.Seed)
-	if r.Routing != "" {
-		id += "/" + r.Routing
-	}
-	if r.Faults > 0 {
-		id += fmt.Sprintf("/f%d", r.Faults)
-	}
+	id := r.Label()
 	switch {
 	case r.Error != "":
 		return id + " ERROR " + r.Error
@@ -693,21 +704,38 @@ func resolveBenchmark(spec string, seed int64) (*traffic.Graph, error) {
 		return traffic.RandomKOut(name, cores, fanout, seed), nil
 	}
 	if m := patternSpec.FindStringSubmatch(spec); m != nil {
-		n, _ := strconv.Atoi(m[2])
+		n, err := specInt(spec, m[2])
+		if err != nil {
+			return nil, err
+		}
 		if m[1] == "transpose" {
 			return traffic.Transpose(n)
 		}
 		return traffic.BitReversal(n)
 	}
 	if m := hotspotSpec.FindStringSubmatch(spec); m != nil {
-		n, _ := strconv.Atoi(m[1])
+		n, err := specInt(spec, m[1])
 		h := max(1, n/8)
-		if m[2] != "" {
-			h, _ = strconv.Atoi(m[2])
+		if err == nil && m[2] != "" {
+			h, err = specInt(spec, m[2])
+		}
+		if err != nil {
+			return nil, err
 		}
 		return traffic.Hotspot(n, h)
 	}
 	return traffic.ByName(spec)
+}
+
+// specInt parses one digit run of a benchmark spec. A number too large
+// for int rejects the spec: strconv clamps it to MaxInt, which would
+// otherwise size a workload or topology past any memory.
+func specInt(spec, digits string) (int, error) {
+	n, err := strconv.Atoi(digits)
+	if err != nil {
+		return 0, fmt.Errorf("runner: benchmark spec %q: number %s out of range", spec, digits)
+	}
+	return n, nil
 }
 
 // parseRand parses and range-checks a rand:<cores>x<fanout> spec; ok is
@@ -717,8 +745,12 @@ func parseRand(spec string) (cores, fanout int, ok bool, err error) {
 	if m == nil {
 		return 0, 0, false, nil
 	}
-	cores, _ = strconv.Atoi(m[1])
-	fanout, _ = strconv.Atoi(m[2])
+	if cores, err = specInt(spec, m[1]); err == nil {
+		fanout, err = specInt(spec, m[2])
+	}
+	if err != nil {
+		return 0, 0, true, err
+	}
 	if cores < 2 || fanout < 1 || fanout >= cores {
 		return 0, 0, true, fmt.Errorf("runner: rand spec %q out of range (need 2 ≤ cores, 1 ≤ fanout < cores)", spec)
 	}
@@ -733,24 +765,27 @@ type preset struct {
 	pattern string
 }
 
-// parsePreset recognizes mesh:/torus: specs. "mesh:<n>" is shorthand for
-// the square uniform grid "mesh:<n>x<n>:uniform"; an omitted pattern
-// defaults to uniform.
-func parsePreset(spec string) (preset, bool) {
+// parsePreset recognizes mesh:/torus: specs; ok is false for specs of
+// any other shape. "mesh:<n>" is shorthand for the square uniform grid
+// "mesh:<n>x<n>:uniform"; an omitted pattern defaults to uniform.
+func parsePreset(spec string) (p preset, ok bool, err error) {
 	m := presetSpec.FindStringSubmatch(spec)
 	if m == nil {
-		return preset{}, false
+		return preset{}, false, nil
 	}
-	cols, _ := strconv.Atoi(m[2])
+	cols, err := specInt(spec, m[2])
 	rows := cols
-	if m[3] != "" {
-		rows, _ = strconv.Atoi(m[3])
+	if err == nil && m[3] != "" {
+		rows, err = specInt(spec, m[3])
+	}
+	if err != nil {
+		return preset{}, true, err
 	}
 	pattern := m[4]
 	if pattern == "" {
 		pattern = "uniform"
 	}
-	return preset{wrap: m[1] == "torus", cols: cols, rows: rows, pattern: pattern}, true
+	return preset{wrap: m[1] == "torus", cols: cols, rows: rows, pattern: pattern}, true, nil
 }
 
 // build materializes the preset's grid topology and traffic pattern.

@@ -150,6 +150,7 @@ func TestGridValidateRandIsParsing(t *testing.T) {
 	}
 	for spec, ok := range map[string]bool{
 		"rand:2x1": true, "rand:1x1": false, "rand:5x0": false, "rand:5x5": false,
+		"rand:99999999999999999999x6": false, "rand:8x99999999999999999999": false,
 	} {
 		if err := (Grid{Benchmarks: []string{spec}}).Validate(); (err == nil) != ok {
 			t.Errorf("Validate(%s) = %v, want accepted=%v", spec, err, ok)
@@ -365,10 +366,17 @@ func TestPatternSpecs(t *testing.T) {
 			t.Errorf("%s: %d cores, want %d", spec, g.NumCores(), cores)
 		}
 	}
-	for _, bad := range []string{"transpose:15", "transpose:16x4", "bitrev:12", "bitrev:8x2", "hotspot:2x2", "mesh:1x1:uniform", "torus:4x4:nope"} {
+	for _, bad := range []string{"transpose:15", "transpose:16x4", "bitrev:12", "bitrev:8x2", "hotspot:2x2", "mesh:1x1:uniform", "torus:4x4:nope",
+		"mesh:99999999999999999999x1", "torus:4x99999999999999999999:transpose", "transpose:99999999999999999999",
+		"bitrev:99999999999999999999", "hotspot:99999999999999999999", "hotspot:24x99999999999999999999"} {
 		if err := (Grid{Benchmarks: []string{bad}, SwitchCounts: []int{4}}).Validate(); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		}
+	}
+	// A number that overflows int is rejected by name, not clamped.
+	if err := (Grid{Benchmarks: []string{"mesh:99999999999999999999x1"}}).Validate(); err == nil ||
+		!strings.Contains(err.Error(), `"mesh:99999999999999999999x1"`) {
+		t.Errorf("overflowing preset spec: %v, want an error naming the spec", err)
 	}
 	if err := (Grid{Benchmarks: []string{"mesh:4x4:transpose", "torus:8x4:bitrev"}, SwitchCounts: []int{4}}).Validate(); err != nil {
 		t.Errorf("valid presets rejected: %v", err)

@@ -50,40 +50,21 @@ type Sharded struct {
 	// is not re-admitted within the run, even if the source still lists
 	// it. fabric.Watcher implements the contract.
 	Source WorkerSource
-	// JoinGrace bounds how long a run with a Source waits for a worker
-	// to join while shards are pending and none are live (default 30s);
-	// past it the run fails like an all-workers-dead run.
+	// JoinGrace is the deadline a run with a Source gives a worker to
+	// join once the live fleet is empty with shards pending (default
+	// 30s); it is armed when the fleet empties and cleared only by an
+	// admission, and past it the run fails like an all-workers-dead run.
+	// Zero also selects failing fast when the fleet is empty at start.
 	JoinGrace time.Duration
 	// AuthToken is the fleet bearer token attached to every worker call
 	// ("" = open fleet).
 	AuthToken string
-	// Shards overrides DefaultShardCount. The shard count — not the
-	// worker count — is the granularity of assignment, load balancing
-	// and requeue, so it may exceed the worker count freely.
-	Shards int
 	// Client is the HTTP client; nil uses a plain &http.Client{} (no
 	// global timeout — sweep jobs are long-lived and their SSE streams
 	// stay open for the life of a shard; cancellation flows through the
 	// run context instead). TLS fleets pass a client built from
 	// fabric.HTTPClient(fabric.ClientTLS(...), 0).
 	Client *http.Client
-	// DisableStream skips the SSE subscription and drives every shard by
-	// status polling alone — the degrade path, forced (tests, proxies
-	// that buffer event streams).
-	DisableStream bool
-	// PollInterval is the job-status polling period on the degrade path
-	// (default 25ms).
-	PollInterval time.Duration
-	// Retries is the attempt budget per shard across all workers
-	// (default 3): a shard failing that many times fails the run with an
-	// error wrapping nocerr.ErrWorker.
-	Retries int
-	// WorkerParallel overrides each worker's per-sweep runner pool size
-	// (0 keeps the worker's own default).
-	WorkerParallel int
-	// DrainTimeout bounds how long a canceled run waits for workers to
-	// surrender partial shard reports (default 10s).
-	DrainTimeout time.Duration
 	// OnAssign, when non-nil, observes every shard→worker assignment
 	// (including reassignments after a failure).
 	OnAssign func(shard, shards int, worker string)
@@ -92,32 +73,23 @@ type Sharded struct {
 	OnRetry func(shard int, worker string, err error)
 }
 
+const (
+	// pollInterval is the job-status polling period on the degrade path.
+	pollInterval = 25 * time.Millisecond
+	// drainTimeout bounds how long a canceled run waits for workers to
+	// surrender partial shard reports.
+	drainTimeout = 10 * time.Second
+	// shardAttempts is the attempt budget per shard across all workers:
+	// a shard failing that many times fails the run with an error
+	// wrapping nocerr.ErrWorker.
+	shardAttempts = 3
+)
+
 func (d *Sharded) client() *http.Client {
 	if d.Client != nil {
 		return d.Client
 	}
 	return &http.Client{}
-}
-
-func (d *Sharded) pollInterval() time.Duration {
-	if d.PollInterval > 0 {
-		return d.PollInterval
-	}
-	return 25 * time.Millisecond
-}
-
-func (d *Sharded) drainTimeout() time.Duration {
-	if d.DrainTimeout > 0 {
-		return d.DrainTimeout
-	}
-	return 10 * time.Second
-}
-
-func (d *Sharded) joinGrace() time.Duration {
-	if d.JoinGrace > 0 {
-		return d.JoinGrace
-	}
-	return 30 * time.Second
 }
 
 // WorkerSource supplies live worker membership to the sharded
@@ -212,78 +184,15 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 	}
 	grid = grid.normalized()
 	opts.maxPaths = grid.MaxPaths
-	shards := d.Shards
-	if shards <= 0 {
-		shards = DefaultShardCount
-	}
 	jobs := grid.Jobs()
-	shardJobs := make([][]int, shards)
-	for i, j := range jobs {
-		s := ShardOf(j, shards)
-		shardJobs[s] = append(shardJobs[s], i)
-	}
-
-	// Coordinator-side cache pre-pass, at shard granularity: a shard
-	// every cell of which is cached is served locally and never
-	// dispatched (its results enter the merge as one extra pseudo-shard
-	// report — MergeShards accepts any partition). Shards with even one
-	// cold cell dispatch whole, because a worker answers with all its
-	// cells and the merge rejects duplicates — but their warm cells are
-	// collected and seeded into the assigned worker's cache ahead of the
-	// submit, so a dispatched partially-warm shard recomputes only its
-	// cold cells. Every cell is probed (not stop-at-first-miss): the
-	// misses are the price of knowing which entries to ship.
-	var (
-		pending      []int
-		cacheRep     *Report
-		cachedShards = make([]bool, shards)
-		warm         map[int][]fabric.CacheEntry
-		hits         = probeCache(jobs, opts, grid.Loads)
-	)
-	for s := 0; s < shards; s++ {
-		if len(shardJobs[s]) == 0 {
-			continue
-		}
-		var served []Result
-		var entries []fabric.CacheEntry
-		for _, i := range shardJobs[s] {
-			if hits != nil && hits[i] != nil {
-				served = append(served, hits[i].res)
-				entries = append(entries, hits[i].entry)
-			}
-		}
-		if len(served) == len(shardJobs[s]) {
-			cachedShards[s] = true
-			if cacheRep == nil {
-				cacheRep = &Report{Grid: grid}
-			}
-			cacheRep.Results = append(cacheRep.Results, served...)
-		} else {
-			pending = append(pending, s)
-			if len(entries) > 0 {
-				if warm == nil {
-					warm = make(map[int][]fabric.CacheEntry)
-				}
-				warm[s] = entries
-			}
-		}
-	}
-	if len(pending) > 0 && len(d.Workers) == 0 && d.Source != nil && len(d.Source.WorkerURLs()) == 0 && d.JoinGrace == 0 {
-		// Fail fast rather than idle a full default grace when the fleet
-		// is empty at start and the caller didn't opt into waiting.
-		return nil, fmt.Errorf("%w: %d shard(s) to run and no live workers registered", nocerr.ErrWorker, len(pending))
-	}
-	retries := d.Retries
-	if retries <= 0 {
-		retries = 3
-	}
+	pending, cacheRep, warm, cachedShards := cachePrepass(grid, jobs, opts)
 
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	// One goroutine per worker, fed one shard at a time over its own
 	// channel; all scheduling state lives in this goroutine. Workers can
-	// be admitted mid-run (spawn is only called from this goroutine), so
+	// be admitted mid-run (admit is only called from this goroutine), so
 	// the fleet is a growing slice rather than a fixed array.
 	type remote struct {
 		url  string
@@ -297,40 +206,50 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 		free    []int
 		updates <-chan struct{}
 	)
-	spawn := func(url string) {
-		// Normalize once so every endpoint below is base+"/v1/...": a
-		// doubled slash would draw a ServeMux redirect, which a client
-		// replays as GET.
-		url = strings.TrimSuffix(url, "/")
-		if url == "" || known[url] {
-			return
+	// admit is the one membership path: it spawns every static or
+	// source-listed worker not seen before and reports whether any joined.
+	admit := func() (joined bool) {
+		urls := d.Workers
+		if d.Source != nil {
+			urls = append(urls[:len(urls):len(urls)], d.Source.WorkerURLs()...)
 		}
-		known[url] = true
-		w := &remote{url: url, feed: make(chan int)}
-		wi := len(fleet)
-		fleet = append(fleet, w)
-		free = append(free, wi)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for shard := range w.feed {
-				rep, dead, err := d.runShard(cctx, w.url, grid, shard, shards, warm[shard], opts)
-				done <- outcome{shard: shard, worker: wi, rep: rep, err: err, dead: dead}
+		for _, url := range urls {
+			// Normalize once so every endpoint below is base+"/v1/...": a
+			// doubled slash would draw a ServeMux redirect, which a client
+			// replays as GET.
+			url = strings.TrimSuffix(url, "/")
+			if url == "" || known[url] {
+				continue
 			}
-		}()
-	}
-	// admit spawns every source-listed worker not seen before.
-	admit := func() {
-		for _, u := range d.Source.WorkerURLs() {
-			spawn(u)
+			known[url] = true
+			w := &remote{url: url, feed: make(chan int)}
+			wi := len(fleet)
+			fleet = append(fleet, w)
+			free = append(free, wi)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for shard := range w.feed {
+					rep, dead, err := d.runShard(cctx, w.url, grid, shard, warm[shard], opts)
+					done <- outcome{shard: shard, worker: wi, rep: rep, err: err, dead: dead}
+				}
+			}()
+			joined = true
 		}
+		return joined
 	}
-	for _, u := range d.Workers {
-		spawn(u)
-	}
+	admit()
 	if d.Source != nil {
-		admit()
 		updates = d.Source.Updates()
+	}
+	if len(fleet) == 0 && len(pending) > 0 && d.JoinGrace == 0 {
+		// Fail fast rather than idle a full default grace when the fleet
+		// is empty at start and the caller didn't opt into waiting.
+		return nil, fmt.Errorf("%w: %d shard(s) to run and no live workers registered", nocerr.ErrWorker, len(pending))
+	}
+	joinGrace := d.JoinGrace
+	if joinGrace <= 0 {
+		joinGrace = 30 * time.Second
 	}
 
 	// Global slot indices per cell key, consumed as progress callbacks
@@ -352,17 +271,17 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 	}
 
 	var (
-		reports     []*Report
-		attempts    = make([]int, shards)
+		// Cache-served shards complete up front, before any dispatch.
+		reports     = []*Report{cacheRep}
+		attempts    = make([]int, DefaultShardCount)
 		inflight    int
 		fatal       error
 		interrupted bool
+		// graceOver is the join deadline, armed when the live fleet
+		// empties with shards pending and cleared only by an admission.
+		graceOver <-chan time.Time
 	)
-	if cacheRep != nil {
-		// Cache-served shards complete up front, before any dispatch.
-		noteResults(cacheRep)
-		reports = append(reports, cacheRep)
-	}
+	noteResults(cacheRep)
 	ctxDone := ctx.Done()
 
 	for {
@@ -373,7 +292,7 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 			shard := pending[0]
 			pending = pending[1:]
 			if d.OnAssign != nil {
-				d.OnAssign(shard, shards, fleet[w].url)
+				d.OnAssign(shard, DefaultShardCount, fleet[w].url)
 			}
 			fleet[w].feed <- shard
 			inflight++
@@ -389,23 +308,11 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 			}
 			// Live-membership mode: wait (bounded) for a join instead of
 			// failing — a fresh worker registering with the coordinator
-			// picks the unowned shards up.
-			select {
-			case _, ok := <-updates:
-				if !ok {
-					// The source terminated (watcher closed): no join can
-					// ever arrive, so fail like a source-less empty fleet.
-					updates = nil
-					continue
-				}
-				admit()
-			case <-time.After(d.joinGrace()):
-				fatal = fmt.Errorf("%w: %d shard(s) unassigned and no worker joined within %v", nocerr.ErrWorker, len(pending), d.joinGrace())
-			case <-ctxDone:
-				interrupted = true
-				ctxDone = nil
+			// picks the unowned shards up. Signals that admit nobody do
+			// not extend the deadline.
+			if graceOver == nil {
+				graceOver = time.After(joinGrace)
 			}
-			continue
 		}
 		select {
 		case o := <-done:
@@ -436,9 +343,9 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 				if d.OnRetry != nil {
 					d.OnRetry(o.shard, fleet[o.worker].url, o.err)
 				}
-				if attempts[o.shard] >= retries {
+				if attempts[o.shard] >= shardAttempts {
 					fatal = fmt.Errorf("%w: shard %d/%d failed after %d attempt(s): %v",
-						nocerr.ErrWorker, o.shard, shards, attempts[o.shard], o.err)
+						nocerr.ErrWorker, o.shard, DefaultShardCount, attempts[o.shard], o.err)
 					cancel()
 				} else {
 					pending = append(pending, o.shard)
@@ -447,13 +354,18 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 		case _, ok := <-updates:
 			if !ok {
 				// Closed source: keep running with the workers already
-				// admitted, but stop selecting on the dead channel.
+				// admitted, but stop selecting on the dead channel (with
+				// none left, no join can ever arrive and the run fails).
 				updates = nil
 				continue
 			}
-			// Mid-run membership change: admit workers never seen before;
-			// the assignment loop hands them pending shards immediately.
-			admit()
+			// Membership change: admit workers never seen before; the
+			// assignment loop hands them pending shards immediately.
+			if admit() {
+				graceOver = nil
+			}
+		case <-graceOver:
+			fatal = fmt.Errorf("%w: %d shard(s) unassigned and no worker joined within %v", nocerr.ErrWorker, len(pending), joinGrace)
 		case <-ctxDone:
 			// Stop assigning; in-flight shards drain cooperatively
 			// through runShard's cancellation path. Nil the channel so a
@@ -482,11 +394,52 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 	// these exact bytes and are skipped). rep.Results is in jobs order,
 	// so index i is cell jobs[i].
 	for i, r := range rep.Results {
-		if !cachedShards[ShardOf(jobs[i], shards)] {
+		if !cachedShards[ShardOf(jobs[i], DefaultShardCount)] {
 			storeCell(jobs[i], r, opts, grid.Loads)
 		}
 	}
 	return rep, nil
+}
+
+// cachePrepass is the coordinator-side cache pre-pass, at shard
+// granularity. A shard every cell of which is cached is served locally
+// and never dispatched: its results enter cacheRep, which the merge takes
+// as one extra pseudo-shard report (MergeShards accepts any partition),
+// and cached marks it. Shards with even one cold cell are pending and
+// dispatch whole, because a worker answers with all its cells and the
+// merge rejects duplicates. warm holds each shard's raw cached entries,
+// seeded into the assigned worker's cache ahead of the submit, so a
+// dispatched partially-warm shard recomputes only its cold cells. Every
+// cell is probed (not stop-at-first-miss): the misses are the price of
+// knowing which entries to ship.
+func cachePrepass(grid Grid, jobs []Job, opts Options) (pending []int, cacheRep *Report, warm [][]fabric.CacheEntry, cached []bool) {
+	shardJobs := make([][]int, DefaultShardCount)
+	for i, j := range jobs {
+		s := ShardOf(j, DefaultShardCount)
+		shardJobs[s] = append(shardJobs[s], i)
+	}
+	hits := probeCache(jobs, opts, grid.Loads)
+	cacheRep = &Report{Grid: grid}
+	warm = make([][]fabric.CacheEntry, DefaultShardCount)
+	cached = make([]bool, DefaultShardCount)
+	for s, cells := range shardJobs {
+		var served []Result
+		for _, i := range cells {
+			if hits != nil && hits[i] != nil {
+				served = append(served, hits[i].res)
+				warm[s] = append(warm[s], hits[i].entry)
+			}
+		}
+		switch {
+		case len(cells) == 0:
+		case len(served) == len(cells):
+			cached[s] = true
+			cacheRep.Results = append(cacheRep.Results, served...)
+		default:
+			pending = append(pending, s)
+		}
+	}
+	return pending, cacheRep, warm, cached
 }
 
 // maxBackpressure bounds how many 429 rounds one shard submission rides
@@ -498,6 +451,11 @@ const maxBackpressure = 20
 // peer is gone without having closed the connection. The dispatcher then
 // degrades to status polling, whose per-request failures detect death.
 const streamIdleTimeout = 60 * time.Second
+
+// maxAnswer bounds how much of one worker answer (a status document or
+// a stream event) the dispatcher reads: terminal states embed the full
+// shard report, so it is sized like the job API's own body budget.
+const maxAnswer = 64 << 20
 
 // waiter is a reusable timer for the dispatcher's wait loops: one
 // runtime timer serves every iteration, where time.After would allocate
@@ -565,13 +523,12 @@ func parseRetryAfter(h string) time.Duration {
 // re-poll, before the worker is declared dead (dead=true retires the
 // worker; the coordinator requeues the shard elsewhere). On cancellation
 // the worker-side job is canceled and its partial report drained.
-func (d *Sharded) runShard(ctx context.Context, worker string, grid Grid, shard, shards int, seed []fabric.CacheEntry, opts Options) (rep *Report, dead bool, err error) {
+func (d *Sharded) runShard(ctx context.Context, worker string, grid Grid, shard int, seed []fabric.CacheEntry, opts Options) (rep *Report, dead bool, err error) {
 	req := SweepRequest{
 		Grid:     grid,
 		Simulate: opts.Simulate,
 		Sim:      opts.Sim,
 		Certify:  opts.Certify,
-		Parallel: d.WorkerParallel,
 	}
 	req.Options.VCLimit = opts.VCLimit
 	req.Options.FullRebuild = opts.FullRebuild
@@ -582,9 +539,6 @@ func (d *Sharded) runShard(ctx context.Context, worker string, grid Grid, shard,
 		return nil, false, err
 	}
 
-	wait := &waiter{}
-	defer wait.stop()
-
 	// Warm hand-off: ship the coordinator's cached cells for this shard
 	// before submitting, so the worker's own cache pre-pass answers them
 	// without computing. Best-effort — a worker without a cache (409) or
@@ -593,57 +547,37 @@ func (d *Sharded) runShard(ctx context.Context, worker string, grid Grid, shard,
 		_ = fabric.SeedEntries(ctx, worker, d.AuthToken, d.client(), seed)
 	}
 
-	id, err := d.submitBackoff(ctx, worker, shard, shards, body, wait)
+	id, err := d.submitBackoff(ctx, worker, shard, body)
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, false, fmt.Errorf("%w: %w", nocerr.ErrCanceled, ctx.Err())
 		}
-		return nil, true, fmt.Errorf("worker %s: submit shard %d/%d: %w", worker, shard, shards, err)
+		return nil, true, fmt.Errorf("worker %s: submit shard %d/%d: %w", worker, shard, DefaultShardCount, err)
 	}
 
-	var st *wireStatus
-	if !d.DisableStream {
-		st = d.streamTerminal(ctx, worker, id)
+	st := d.streamTerminal(ctx, worker, id)
+	if st == nil && ctx.Err() == nil {
+		// Degrade path: the stream was unavailable (older worker,
+		// buffering proxy) or dropped mid-job. The job is unaffected
+		// server-side, so fall back to status polling, absorbing one poll
+		// hiccup; two consecutive failures retire the worker.
+		st, err = d.pollTerminal(ctx, worker, id, 1)
 	}
 	if st == nil && ctx.Err() != nil {
 		return d.drain(worker, id)
 	}
-	// Degrade path: the stream was unavailable (older worker, buffering
-	// proxy) or dropped mid-job. The job is unaffected server-side, so
-	// fall back to status polling.
-	pollFailures := 0
-	for st == nil {
-		cur, err := d.jobStatus(ctx, worker, id)
-		if err != nil {
-			if ctx.Err() != nil {
-				return d.drain(worker, id)
-			}
-			// Absorb one poll hiccup (the job keeps running server-side);
-			// two consecutive failures retire the worker.
-			if pollFailures++; pollFailures > 1 {
-				return nil, true, fmt.Errorf("worker %s: poll shard %d/%d: %w", worker, shard, shards, err)
-			}
-			if wait.sleep(ctx, d.pollInterval()) != nil {
-				return d.drain(worker, id)
-			}
-			continue
-		}
-		pollFailures = 0
-		if cur.terminal() {
-			st = cur
-		} else if wait.sleep(ctx, d.pollInterval()) != nil {
-			return d.drain(worker, id)
-		}
+	if err != nil {
+		return nil, true, fmt.Errorf("worker %s: poll shard %d/%d: %w", worker, shard, DefaultShardCount, err)
 	}
 	switch st.State {
 	case "done":
 		rep, err := decodeShardReport(st.Result)
 		if err != nil {
-			return nil, true, fmt.Errorf("worker %s: shard %d/%d result: %w", worker, shard, shards, err)
+			return nil, true, fmt.Errorf("worker %s: shard %d/%d result: %w", worker, shard, DefaultShardCount, err)
 		}
 		return rep, false, nil
 	case "failed":
-		return nil, false, fmt.Errorf("worker %s: shard %d/%d failed: %s", worker, shard, shards, st.Error)
+		return nil, false, fmt.Errorf("worker %s: shard %d/%d failed: %s", worker, shard, DefaultShardCount, st.Error)
 	default: // canceled
 		// Canceled server-side (shutdown, operator): whatever partial
 		// result exists still merges; missing cells surface as
@@ -656,11 +590,13 @@ func (d *Sharded) runShard(ctx context.Context, worker string, grid Grid, shard,
 // hiccups: a 429 answer waits out the worker's Retry-After and resubmits
 // (the worker is healthy, just full — up to maxBackpressure rounds),
 // while any other failure gets one immediate retry before giving up.
-func (d *Sharded) submitBackoff(ctx context.Context, worker string, shard, shards int, body []byte, wait *waiter) (string, error) {
+func (d *Sharded) submitBackoff(ctx context.Context, worker string, shard int, body []byte) (string, error) {
+	wait := &waiter{}
+	defer wait.stop()
 	retried := false
 	backpressured := 0
 	for {
-		id, err := d.submit(ctx, worker, shard, shards, body)
+		id, err := d.submit(ctx, worker, shard, body)
 		var full *backpressureError
 		switch {
 		case err == nil:
@@ -712,9 +648,7 @@ func (d *Sharded) streamTerminal(ctx context.Context, worker, id string) *wireSt
 	var event string
 	var data bytes.Buffer
 	sc := bufio.NewScanner(resp.Body)
-	// Terminal state events embed the full shard report; size the line
-	// budget like the job API's own body budget.
-	sc.Buffer(make([]byte, 0, 64<<10), 64<<20)
+	sc.Buffer(make([]byte, 0, 64<<10), maxAnswer)
 	for sc.Scan() {
 		dog.Reset(streamIdleTimeout)
 		line := sc.Text()
@@ -743,53 +677,71 @@ func (d *Sharded) streamTerminal(ctx context.Context, worker, id string) *wireSt
 }
 
 // drain is the cancellation path of runShard: cancel the worker-side job
-// and poll (off the run context, bounded by DrainTimeout) until it goes
+// and poll (off the run context, bounded by drainTimeout) until it goes
 // terminal, so the partial shard report is not lost. A worker that
 // cannot be drained simply contributes nothing — its cells merge as
 // canceled slots.
 func (d *Sharded) drain(worker, id string) (*Report, bool, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), d.drainTimeout())
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
-	creq, err := http.NewRequestWithContext(ctx, http.MethodPost, worker+"/v1/jobs/"+id+"/cancel", nil)
+	// Best effort: whether or not the cancel lands, the poll below
+	// collects whatever terminal state the job reaches.
+	_, _, _ = d.fetch(ctx, http.MethodPost, worker+"/v1/jobs/"+id+"/cancel", nil)
+	st, err := d.pollTerminal(ctx, worker, id, 0)
 	if err != nil {
 		return nil, false, nil
 	}
-	fabric.SetAuth(creq, d.AuthToken)
-	if resp, err := d.client().Do(creq); err == nil {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}
+	return st.partial(), false, nil
+}
+
+// pollTerminal polls the job's status until it is terminal, riding out
+// up to absorb consecutive failed polls; it gives up with an error when
+// ctx is done.
+func (d *Sharded) pollTerminal(ctx context.Context, worker, id string, absorb int) (*wireStatus, error) {
 	wait := &waiter{}
 	defer wait.stop()
-	for {
+	for failures := 0; ; {
 		st, err := d.jobStatus(ctx, worker, id)
-		if err != nil {
-			return nil, false, nil
+		switch {
+		case err == nil && st.terminal():
+			return st, nil
+		case err == nil:
+			failures = 0
+		case ctx.Err() != nil || failures == absorb:
+			return nil, err
+		default:
+			failures++
 		}
-		if st.terminal() {
-			return st.partial(), false, nil
-		}
-		if wait.sleep(ctx, d.pollInterval()) != nil {
-			return nil, false, nil
+		if err := wait.sleep(ctx, pollInterval); err != nil {
+			return nil, err
 		}
 	}
 }
 
-// submit POSTs the shard's sweep request and returns the accepted job ID.
-func (d *Sharded) submit(ctx context.Context, worker string, shard, shards int, body []byte) (string, error) {
-	url := fmt.Sprintf("%s/v1/sweep?shard=%d/%d", worker, shard, shards)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+// fetch sends one authenticated request to a worker, with body (if
+// any) as JSON, and reads its answer (up to maxAnswer bytes).
+func (d *Sharded) fetch(ctx context.Context, method, url string, body []byte) (*http.Response, []byte, error) {
+	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
 	if err != nil {
-		return "", err
+		return nil, nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
 	fabric.SetAuth(req, d.AuthToken)
 	resp, err := d.client().Do(req)
 	if err != nil {
-		return "", err
+		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxAnswer))
+	return resp, data, err
+}
+
+// submit POSTs the shard's sweep request and returns the accepted job ID.
+func (d *Sharded) submit(ctx context.Context, worker string, shard int, body []byte) (string, error) {
+	resp, data, err := d.fetch(ctx, http.MethodPost,
+		fmt.Sprintf("%s/v1/sweep?shard=%d/%d", worker, shard, DefaultShardCount), body)
 	if err != nil {
 		return "", err
 	}
@@ -810,17 +762,7 @@ func (d *Sharded) submit(ctx context.Context, worker string, shard, shards int, 
 
 // jobStatus fetches one job-status document.
 func (d *Sharded) jobStatus(ctx context.Context, worker, id string) (*wireStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, worker+"/v1/jobs/"+id, nil)
-	if err != nil {
-		return nil, err
-	}
-	fabric.SetAuth(req, d.AuthToken)
-	resp, err := d.client().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	resp, data, err := d.fetch(ctx, http.MethodGet, worker+"/v1/jobs/"+id, nil)
 	if err != nil {
 		return nil, err
 	}

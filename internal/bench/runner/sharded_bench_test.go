@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"testing"
-	"time"
 
 	"github.com/nocdr/nocdr/internal/bench/runner"
 	"github.com/nocdr/nocdr/internal/serve"
@@ -43,7 +42,7 @@ func BenchmarkShardedSweep(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer shutdown()
-			sh := &runner.Sharded{Workers: urls, PollInterval: 2 * time.Millisecond}
+			sh := &runner.Sharded{Workers: urls}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rep, err := sh.RunContext(context.Background(), grid, opts)

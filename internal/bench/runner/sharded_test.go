@@ -104,7 +104,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 	for workers := 1; workers <= 4; workers++ {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			urls := startWorkers(t, workers, jitter(int64(workers)))
-			sh := &runner.Sharded{Workers: urls, PollInterval: 5 * time.Millisecond}
+			sh := &runner.Sharded{Workers: urls}
 			rep, err := sh.RunContext(context.Background(), grid, runner.Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -132,7 +132,7 @@ func TestShardedSimulatedMatchesSerial(t *testing.T) {
 		t.Fatal("serial negative control did not deadlock; the conformance check has no teeth")
 	}
 	urls := startWorkers(t, 2, nil)
-	sh := &runner.Sharded{Workers: urls, PollInterval: 5 * time.Millisecond}
+	sh := &runner.Sharded{Workers: urls}
 	rep, err := sh.RunContext(context.Background(), grid, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +154,7 @@ func TestShardedOptionsForwarded(t *testing.T) {
 		t.Fatal(err)
 	}
 	urls := startWorkers(t, 2, nil)
-	sh := &runner.Sharded{Workers: urls, PollInterval: 5 * time.Millisecond}
+	sh := &runner.Sharded{Workers: urls}
 	rep, err := sh.RunContext(context.Background(), grid, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -193,9 +193,8 @@ func TestShardedWorkerDeathRequeues(t *testing.T) {
 	urls := startWorkers(t, 3, wrap)
 	var retries atomic.Int32
 	sh := &runner.Sharded{
-		Workers:      urls,
-		PollInterval: 5 * time.Millisecond,
-		OnRetry:      func(shard int, worker string, err error) { retries.Add(1) },
+		Workers: urls,
+		OnRetry: func(shard int, worker string, err error) { retries.Add(1) },
 	}
 	rep, err := sh.RunContext(context.Background(), grid, runner.Options{})
 	if err != nil {
@@ -229,7 +228,7 @@ func TestShardedSurvivesTransientPollFailure(t *testing.T) {
 		})
 	}
 	urls := startWorkers(t, 1, wrap)
-	sh := &runner.Sharded{Workers: urls, PollInterval: 2 * time.Millisecond}
+	sh := &runner.Sharded{Workers: urls}
 	rep, err := sh.RunContext(context.Background(), grid, runner.Options{})
 	if err != nil {
 		t.Fatalf("one dropped poll killed the run: %v", err)
@@ -252,7 +251,7 @@ func TestShardedCancelMidSweep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var fired atomic.Bool
-	sh := &runner.Sharded{Workers: urls, PollInterval: 5 * time.Millisecond}
+	sh := &runner.Sharded{Workers: urls}
 	rep, err := sh.RunContext(ctx, grid, runner.Options{
 		OnResult: func(i, total int, res runner.Result) {
 			if fired.CompareAndSwap(false, true) {
@@ -308,7 +307,7 @@ func TestShardedCancelTrailingSlashWorker(t *testing.T) {
 			h.ServeHTTP(w, r)
 		})
 	})
-	sh := &runner.Sharded{Workers: []string{urls[0] + "/"}, Shards: 1, DrainTimeout: 5 * time.Second}
+	sh := &runner.Sharded{Workers: []string{urls[0] + "/"}}
 	grid := runner.Grid{Benchmarks: []string{"torus:4"}, Seeds: []int64{0, 1, 2, 3}}
 	rep, err := sh.RunContext(ctx, grid, runner.Options{Simulate: true, Sim: runner.SimParams{Cycles: 1 << 20}})
 	if err != nil {
@@ -346,7 +345,7 @@ func TestShardedCorruptWorker(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			ts := httptest.NewServer(handler)
 			defer ts.Close()
-			sh := &runner.Sharded{Workers: []string{ts.URL}, PollInterval: time.Millisecond}
+			sh := &runner.Sharded{Workers: []string{ts.URL}}
 			_, err := sh.RunContext(context.Background(), grid, runner.Options{})
 			if err == nil {
 				t.Fatal("corrupt worker produced no error")
@@ -374,10 +373,8 @@ func TestShardedRetryBudgetExhausted(t *testing.T) {
 	defer ts.Close()
 	var retries atomic.Int32
 	sh := &runner.Sharded{
-		Workers:      []string{ts.URL},
-		PollInterval: time.Millisecond,
-		Retries:      2,
-		OnRetry:      func(int, string, error) { retries.Add(1) },
+		Workers: []string{ts.URL},
+		OnRetry: func(int, string, error) { retries.Add(1) },
 	}
 	_, err := sh.RunContext(context.Background(), runner.Grid{Benchmarks: []string{"D26_media"}, SwitchCounts: []int{8}}, runner.Options{})
 	if !errors.Is(err, nocerr.ErrWorker) {

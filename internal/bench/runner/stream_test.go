@@ -41,10 +41,23 @@ func countJobReads(polls, streams *atomic.Int64) func(int, http.Handler) http.Ha
 	}
 }
 
+// noStream answers every SSE subscription with 404, as a worker whose
+// event stream is unavailable does, so the dispatcher degrades to status
+// polling.
+func noStream(_ int, h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/events") {
+			http.NotFound(w, r)
+			return
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
 // TestShardedStreamZeroStatusPolls is the streamed-dispatch conformance
 // check: on the happy path every shard is followed over its SSE event
-// stream and the worker sees zero status polls; forcing the degrade path
-// polls as before. Both produce the serial report byte for byte.
+// stream and the worker sees zero status polls; workers without an event
+// stream are polled as before. Both produce the serial report byte for byte.
 func TestShardedStreamZeroStatusPolls(t *testing.T) {
 	grid := conformanceGrid()
 	serial, err := runner.Run(grid, runner.Options{Parallel: 1})
@@ -71,9 +84,13 @@ func TestShardedStreamZeroStatusPolls(t *testing.T) {
 		t.Fatal("no SSE subscription was ever opened")
 	}
 
-	// Forced degrade path: no streams, polls only, same bytes.
+	// Degrade path: workers whose /events answers 404 (ahead of the
+	// counter) are followed by polls only, with the same bytes.
 	streams.Store(0)
-	sh = &runner.Sharded{Workers: urls, DisableStream: true, PollInterval: 2 * time.Millisecond}
+	count := countJobReads(&polls, &streams)
+	sh = &runner.Sharded{Workers: startWorkers(t, 2, func(i int, h http.Handler) http.Handler {
+		return noStream(i, count(i, h))
+	})}
 	rep, err = sh.RunContext(context.Background(), grid, runner.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -85,29 +102,41 @@ func TestShardedStreamZeroStatusPolls(t *testing.T) {
 		t.Fatal("degrade path never polled")
 	}
 	if streams.Load() != 0 {
-		t.Fatalf("DisableStream still opened %d stream(s)", streams.Load())
+		t.Fatalf("degrade path still opened %d stream(s)", streams.Load())
 	}
 }
 
 // TestShardedWarmSeedHandoff pins cache propagation end to end: a warm
 // coordinator dispatching a partially-cold shard ships its warm cells to
 // the worker first, so a fresh worker computes only the cold cell — and
-// the report stays byte-identical.
+// the report stays byte-identical. The grid (faulted hotspot mesh, two
+// turn models, two seeds) is one whose cells all hash into a single
+// shard, so that one shard carries every warm cell.
 func TestShardedWarmSeedHandoff(t *testing.T) {
-	grid := conformanceGrid()
+	grid := runner.Grid{
+		Benchmarks: []string{"mesh:3x3:hotspot"},
+		Routings:   []string{"west-first", "odd-even"},
+		Faults:     1,
+		Seeds:      []int64{2, 19},
+	}
 	serial, err := runner.Run(grid, runner.Options{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := reportBytes(t, serial)
 	jobs := grid.Jobs()
+	for _, j := range jobs {
+		if runner.ShardOf(j, runner.DefaultShardCount) != runner.ShardOf(jobs[0], runner.DefaultShardCount) {
+			t.Fatalf("grid cells span several shards; the test needs them in one")
+		}
+	}
 
 	coord := newMapCache()
 	opts := runner.Options{CellCache: coord}
 
 	// Cold run against a throwaway worker to fill the coordinator cache.
 	coldURLs := startWorkers(t, 1, nil)
-	sh := &runner.Sharded{Workers: coldURLs, Shards: 1, PollInterval: 5 * time.Millisecond}
+	sh := &runner.Sharded{Workers: coldURLs}
 	if _, err := sh.RunContext(context.Background(), grid, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +146,7 @@ func TestShardedWarmSeedHandoff(t *testing.T) {
 	evicted := runner.CellKey(jobs[0], opts, grid.Loads)
 	coord.delete(evicted)
 
-	// A fresh worker with its own empty result cache: the single shard
+	// A fresh worker with its own empty result cache: the grid's one shard
 	// dispatches whole (one cell is cold), but the seed hand-off must
 	// answer every other cell from the worker's cache.
 	wcache := fabric.NewCache(fabric.CacheOptions{})
@@ -130,7 +159,7 @@ func TestShardedWarmSeedHandoff(t *testing.T) {
 		wcache.Close()
 	})
 
-	sh = &runner.Sharded{Workers: []string{wts.URL}, Shards: 1, PollInterval: 5 * time.Millisecond}
+	sh = &runner.Sharded{Workers: []string{wts.URL}}
 	rep, err := sh.RunContext(context.Background(), grid, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -178,9 +207,8 @@ func TestShardedBackpressureResubmit(t *testing.T) {
 	urls := startWorkers(t, 1, wrap)
 	var retries atomic.Int32
 	sh := &runner.Sharded{
-		Workers:      urls,
-		PollInterval: 2 * time.Millisecond,
-		OnRetry:      func(int, string, error) { retries.Add(1) },
+		Workers: urls,
+		OnRetry: func(int, string, error) { retries.Add(1) },
 	}
 	start := time.Now()
 	rep, err := sh.RunContext(context.Background(), grid, runner.Options{})
@@ -252,9 +280,8 @@ func TestShardedOverTLS(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh := &runner.Sharded{
-		Workers:      []string{ts.URL},
-		Client:       fabric.HTTPClient(ccfg, 0),
-		PollInterval: 5 * time.Millisecond,
+		Workers: []string{ts.URL},
+		Client:  fabric.HTTPClient(ccfg, 0),
 	}
 	rep, err := sh.RunContext(context.Background(), grid, runner.Options{})
 	if err != nil {
@@ -265,7 +292,7 @@ func TestShardedOverTLS(t *testing.T) {
 	}
 
 	// No CA pin, no fleet: the default client must refuse the listener.
-	bare := &runner.Sharded{Workers: []string{ts.URL}, Retries: 1, PollInterval: 5 * time.Millisecond}
+	bare := &runner.Sharded{Workers: []string{ts.URL}}
 	if _, err := bare.RunContext(context.Background(), grid, runner.Options{}); err == nil {
 		t.Fatal("dispatcher without the CA reached a TLS worker")
 	} else if !strings.Contains(err.Error(), nocerr.ErrWorker.Error()) {
@@ -273,14 +300,14 @@ func TestShardedOverTLS(t *testing.T) {
 	}
 }
 
-// TestShardedPollingGoroutineStable drives the forced polling path hard
+// TestShardedPollingGoroutineStable drives the polling path hard
 // and requires the goroutine count to return to baseline: the reused
 // per-loop timer must not leak tickers, and no stream or poll goroutine
 // may outlive its run.
 func TestShardedPollingGoroutineStable(t *testing.T) {
 	grid := runner.Grid{Benchmarks: []string{"mesh:4"}, Seeds: []int64{0, 1}}
-	urls := startWorkers(t, 1, nil)
-	sh := &runner.Sharded{Workers: urls, DisableStream: true, PollInterval: time.Millisecond}
+	urls := startWorkers(t, 1, noStream)
+	sh := &runner.Sharded{Workers: urls}
 	if _, err := sh.RunContext(context.Background(), grid, runner.Options{}); err != nil {
 		t.Fatal(err) // warm-up: lazy pools and http transports settle
 	}

@@ -430,6 +430,27 @@ func TestSweepJobReportShape(t *testing.T) {
 	}
 }
 
+// TestSweepRejectsOverflowSpec pins that a spec number too large for int
+// is a prompt 400: strconv clamps it to MaxInt, and building that mesh
+// inside the handler would exhaust the server's memory.
+func TestSweepRejectsOverflowSpec(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	client := &http.Client{Timeout: 5 * time.Second}
+	start := time.Now()
+	resp, err := client.Post(ts.URL+"/v1/sweep", "application/json",
+		strings.NewReader(`{"grid":{"benchmarks":["mesh:99999999999999999999x1"]}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("rejection took %v, want < 1s", d)
+	}
+}
+
 func TestHealthz(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 	var hz map[string]any
