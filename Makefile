@@ -35,10 +35,12 @@ bench:
 # lockstep batch-vs-sequential pair (the batch engine's ≥5x multi-core
 # advantage over 16 independent runs must not erode), and the fabric
 # result-cache hot path (the per-cell overhead every cached sweep pays),
-# repeated so benchstat can establish significance. CI runs this on the
+# and the incremental removal rows (the girth-bound cycle search's
+# speed-up over probing every member of a touched component), repeated
+# so benchstat can establish significance. CI runs this on the
 # PR head and base and fails on a >15% sec/op regression.
 bench-pin:
-	$(GO) test -run='^$$' -bench='^(BenchmarkSimStep$$|BenchmarkRemoval_|BenchmarkSessionOverhead$$|BenchmarkReconfigure_|BenchmarkLockstep|BenchmarkCache)' \
+	$(GO) test -run='^$$' -bench='^(BenchmarkSimStep$$|BenchmarkRemoval_|BenchmarkSessionOverhead$$|BenchmarkReconfigure_|BenchmarkLockstep|BenchmarkCache|BenchmarkRemoveIncremental_)' \
 		-count=6 -benchtime=0.5s . | tee $(BENCH_OUT)
 
 fmt:

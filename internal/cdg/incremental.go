@@ -2,6 +2,7 @@ package cdg
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/nocdr/nocdr/internal/route"
@@ -23,6 +24,9 @@ type Reroute struct {
 // table, Incremental applies each break as a handful of edge updates and
 // restricts cycle re-search to the strongly connected components those
 // updates touched; untouched components keep their cached shortest cycle.
+// Inside a touched component, per-vertex girth lower bounds (lb) spare
+// the search every member whose bound already rules it out (see
+// updateBounds and shortestCycleIn).
 //
 // Determinism contract: every query depends only on the current edge set,
 // never on the order edges were inserted. Vertices are scanned and
@@ -41,12 +45,27 @@ type Incremental struct {
 	edgeFlows map[[2]int][]int // edge → flow IDs creating it, ascending
 	nEdges    int
 
-	touched map[int]bool // vertices with edge changes since the last refresh
-	cache   map[int]*sccEntry
-	valid   bool
+	touched  map[int]bool // vertices with edge changes since the last refresh
+	inserted [][2]int     // edges inserted since the last refresh
+	lb       []int        // lb[v] ≤ length of the shortest cycle through v
+	cache    map[int]*sccEntry
+	valid    bool
 
 	scratch scratch // reusable dense buffers for Tarjan and BFS
 }
+
+// unbounded is the girth bound of a vertex that lies on no cycle yet.
+const unbounded = math.MaxInt
+
+// maxCover caps the vertex cover of inserted edges the bound update
+// accepts; a larger cover restarts the component's bounds instead. Each
+// cover vertex costs two BFS passes over its component. Two is the
+// largest cover any refresh needed on perfbench's four workloads and on
+// BenchmarkReconfigure_Cold10x10: about 0.5% of the refreshes of the
+// 192- and 256-core removals need two, every other refresh one. Bulk
+// reroutes, such as the multi-flow deltas in the reconfig package's
+// tests, need up to nine.
+const maxCover = 2
 
 // scratch holds the dense work arrays the refresh hot path reuses across
 // iterations. Visited-state is epoch-stamped so a new search costs O(1) to
@@ -57,6 +76,8 @@ type scratch struct {
 	dist   []int
 	parent []int
 	queue  []int
+	rstamp []int // backward-BFS twins of stamp/dist (updateBounds)
+	rdist  []int
 
 	compEpoch int
 	compStamp []int // compStamp[v] == compEpoch ⇒ v in current component
@@ -64,30 +85,29 @@ type scratch struct {
 	index   []int // Tarjan
 	low     []int
 	onStack []bool
+
+	edges [][2]int // a component's inserted edges (updateBounds)
+	heap  []int    // component positions, ordered by girthHeap
+	exact []bool   // exact[i] ⇒ lb of component position i is its girth
 }
 
 func (s *scratch) ensure(n int) {
 	if len(s.stamp) >= n {
 		return
 	}
-	grown := make([]int, n)
-	copy(grown, s.stamp)
-	s.stamp = grown
-	s.dist = append(s.dist, make([]int, n-len(s.dist))...)
-	s.parent = append(s.parent, make([]int, n-len(s.parent))...)
-	grownComp := make([]int, n)
-	copy(grownComp, s.compStamp)
-	s.compStamp = grownComp
-	s.index = append(s.index, make([]int, n-len(s.index))...)
-	s.low = append(s.low, make([]int, n-len(s.low))...)
+	for _, a := range []*[]int{&s.stamp, &s.dist, &s.parent, &s.rstamp, &s.rdist, &s.compStamp, &s.index, &s.low} {
+		*a = append(*a, make([]int, n-len(*a))...)
+	}
 	s.onStack = append(s.onStack, make([]bool, n-len(s.onStack))...)
 }
 
 // sccEntry caches the analysis of one non-trivial SCC: its member set and
-// the shortest cycle inside it. An entry survives a break untouched by it.
+// the shortest cycle inside it, computed on first demand. An entry
+// survives a break untouched by it; it is never mutated once cached, so
+// snapshots may share it.
 type sccEntry struct {
 	members []int // sorted by canonical channel order; members[0] is the key
-	cycle   []int // shortest cycle, rotated to its minimum channel
+	cycle   []int // shortest cycle, rotated to its minimum channel; nil until computed
 	start   int   // first member (channel order) on a shortest cycle
 }
 
@@ -123,6 +143,13 @@ func BuildIncremental(top *topology.Topology, table *route.Table) (*Incremental,
 			m.addFlowEdge(m.id[r.Channels[i]], m.id[r.Channels[i+1]], r.FlowID)
 		}
 	}
+	// A bound of 1 holds for every vertex of any graph, so the initial
+	// edges need no insertion bookkeeping.
+	m.lb = make([]int, len(channels))
+	for v := range m.lb {
+		m.lb[v] = 1
+	}
+	m.inserted = nil
 	return m, nil
 }
 
@@ -146,6 +173,7 @@ func (m *Incremental) vertex(ch topology.Channel) int {
 	m.id[ch] = v
 	m.succ = append(m.succ, nil)
 	m.pred = append(m.pred, nil)
+	m.lb = append(m.lb, unbounded)
 	pos := sort.Search(len(m.order), func(i int) bool { return m.less(v, m.order[i]) })
 	m.order = append(m.order, 0)
 	copy(m.order[pos+1:], m.order[pos:])
@@ -189,6 +217,7 @@ func (m *Incremental) addFlowEdge(from, to, flowID int) {
 		m.nEdges++
 		m.touched[from] = true
 		m.touched[to] = true
+		m.inserted = append(m.inserted, key)
 		m.valid = false
 	}
 }
@@ -338,10 +367,10 @@ func (m *Incremental) Dependencies() []Dependency {
 }
 
 // refresh brings the SCC cache up to date: one Tarjan pass over the whole
-// graph, then shortest-cycle recomputation only for components that gained
-// or lost an edge since the last refresh. This is the incremental hot
-// path: a break typically touches one small component, and every other
-// component's cached cycle is reused.
+// graph, then a fresh entry, with its girth bounds brought up to date, for
+// every component that gained or lost an edge since the last refresh.
+// This is the incremental hot path: a break typically touches one
+// component, and every other component's cached entry is reused.
 func (m *Incremental) refresh() {
 	if m.valid {
 		return
@@ -354,12 +383,12 @@ func (m *Incremental) refresh() {
 			next[key] = old
 			continue
 		}
-		e := &sccEntry{members: comp}
-		e.cycle, e.start = m.shortestCycleIn(comp)
-		next[key] = e
+		m.updateBounds(comp)
+		next[key] = &sccEntry{members: comp}
 	}
 	m.cache = next
 	m.touched = make(map[int]bool)
+	m.inserted = m.inserted[:0]
 	m.valid = true
 }
 
@@ -468,79 +497,270 @@ func (m *Incremental) hasEdge(from, to int) bool {
 	return ok
 }
 
-// shortestCycleIn finds the shortest cycle inside one SCC: members are
-// scanned in canonical channel order, each probed with a BFS restricted to
-// the component (a shortest cycle through a vertex never leaves its SCC).
-// It mirrors graph.ShortestCycle's scan-and-prune semantics so the
-// incremental and full-rebuild paths pick identical cycles.
-func (m *Incremental) shortestCycleIn(comp []int) (cycle []int, start int) {
+// updateBounds restores lb[v] ≤ girth(v) on a component that changed
+// since the last refresh. Deleted edges only lengthen cycles, so they
+// need nothing. Only an inserted edge that still exists inside the
+// component can lie on a new cycle, and every such cycle passes through
+// some vertex x of any vertex cover of those edges, so it is at least
+// dist(x→v) + dist(v→x) long for each v on it: lowering lb[v] to that sum
+// keeps every bound valid, and x's own bound drops to x's girth. Without
+// a cover of at most maxCover vertices the component's bounds restart at 1.
+func (m *Incremental) updateBounds(comp []int) {
+	sc := &m.scratch
+	m.stampComponent(comp)
+	edges := sc.edges[:0]
+	for _, e := range m.inserted {
+		if sc.compStamp[e[0]] == sc.compEpoch && sc.compStamp[e[1]] == sc.compEpoch && m.hasEdge(e[0], e[1]) {
+			edges = append(edges, e)
+		}
+	}
+	sc.edges = edges
+	if len(edges) == 0 {
+		return
+	}
+	cover := coverOf(edges)
+	if cover == nil {
+		for _, v := range comp {
+			m.lb[v] = 1
+		}
+		return
+	}
+	for _, x := range cover {
+		sc.epoch++
+		m.distances(x, m.succ, sc.stamp, sc.dist)
+		m.distances(x, m.pred, sc.rstamp, sc.rdist)
+		girth := unbounded
+		for _, p := range m.pred[x] {
+			if sc.compStamp[p] == sc.compEpoch && sc.dist[p]+1 < girth {
+				girth = sc.dist[p] + 1
+			}
+		}
+		for _, v := range comp {
+			d := sc.dist[v] + sc.rdist[v]
+			if v == x {
+				d = girth
+			}
+			if d < m.lb[v] {
+				m.lb[v] = d
+			}
+		}
+	}
+}
+
+// coverOf greedily picks at most maxCover vertices touching every edge,
+// or returns nil when it needs more. From the first uncovered edge it
+// takes the endpoint touching more of the rest, so a break's edges, which
+// all touch its one new channel, are covered by that channel alone. It
+// reorders edges in place.
+func coverOf(edges [][2]int) []int {
+	touching := func(v int) int {
+		n := 0
+		for _, e := range edges {
+			if e[0] == v || e[1] == v {
+				n++
+			}
+		}
+		return n
+	}
+	var cover []int
+	for len(edges) > 0 {
+		if len(cover) == maxCover {
+			return nil
+		}
+		x := edges[0][0]
+		if to := edges[0][1]; touching(to) > touching(x) {
+			x = to
+		}
+		cover = append(cover, x)
+		rest := edges[:0]
+		for _, e := range edges {
+			if e[0] != x && e[1] != x {
+				rest = append(rest, e)
+			}
+		}
+		edges = rest
+	}
+	return cover
+}
+
+// stampComponent marks comp as the component searches are restricted to.
+func (m *Incremental) stampComponent(comp []int) {
 	sc := &m.scratch
 	sc.ensure(len(m.chans))
 	sc.compEpoch++
 	for _, v := range comp {
 		sc.compStamp[v] = sc.compEpoch
 	}
-	var best []int
-	bestStart := -1
-	for _, s := range comp {
-		if m.hasEdge(s, s) {
-			return []int{s}, s // nothing beats a self-loop
-		}
-		if len(best) == 2 {
-			break // only a self-loop could beat a 2-cycle
-		}
-		if cyc := m.probe(s, len(best)); cyc != nil {
-			best = cyc
-			bestStart = s
+}
+
+// distances runs a BFS from x over adj inside the stamped component,
+// recording dist[v] and stamping stamp[v] with the current epoch for
+// every vertex reached.
+func (m *Incremental) distances(x int, adj [][]int, stamp, dist []int) {
+	sc := &m.scratch
+	stamp[x] = sc.epoch
+	dist[x] = 0
+	queue := append(sc.queue[:0], x)
+	for qi := 0; qi < len(queue); qi++ {
+		u := queue[qi]
+		for _, v := range adj[u] {
+			if sc.compStamp[v] == sc.compEpoch && stamp[v] != sc.epoch {
+				stamp[v] = sc.epoch
+				dist[v] = dist[u] + 1
+				queue = append(queue, v)
+			}
 		}
 	}
-	return m.rotateToMinChannel(best), bestStart
+	sc.queue = queue[:0]
+}
+
+// shortestCycleIn finds the shortest cycle inside one SCC and the first
+// member (canonical channel order) it passes through: the winner of the
+// probe-every-member scan, without probing every member. Members leave a
+// heap in (lb, channel order); one whose bound is not yet exact is probed
+// with a BFS cut off where its cycle could no longer win. A probe that
+// closes a cycle makes the bound exact, and a miss raises it to the
+// cut-off. Once the heap's top is exact, every other member's girth is at
+// least its bound, so none beats the top on (girth, channel order). The
+// cycle is the same one too: a cut-off BFS that closes a cycle closes the
+// one the unbounded BFS would.
+func (m *Incremental) shortestCycleIn(comp []int) (cycle []int, start int) {
+	sc := &m.scratch
+	m.stampComponent(comp)
+	h := girthHeap{items: sc.heap[:0], comp: comp, lb: m.lb}
+	for i := range comp {
+		h.items = append(h.items, i)
+	}
+	h.init()
+	sc.heap = h.items
+	if len(sc.exact) < len(comp) {
+		sc.exact = make([]bool, len(comp))
+	}
+	exact := sc.exact[:len(comp)]
+	for i := range exact {
+		exact[i] = false
+	}
+	best, bestAt := 0, -1
+	for {
+		i := h.items[0]
+		if exact[i] {
+			break
+		}
+		v := comp[i]
+		bound := 0 // unbounded until some member's girth is known
+		if bestAt >= 0 {
+			bound = best // a later member must be strictly shorter to win
+			if i < bestAt {
+				bound++ // an earlier one wins a tie
+			}
+		}
+		if last, n := m.probe(v, bound); last >= 0 {
+			m.lb[v], exact[i] = n, true
+			if bestAt < 0 || n < best || n == best && i < bestAt {
+				best, bestAt = n, i
+				cycle = m.pathTo(last)
+			}
+		} else if bestAt < 0 {
+			// Defensive: every member of a non-trivial SCC is on a cycle.
+			m.lb[v], exact[i] = unbounded, true
+		} else if bound > m.lb[v] {
+			m.lb[v] = bound
+		}
+		h.down(0)
+	}
+	if bestAt < 0 {
+		return nil, -1
+	}
+	return m.rotateToMinChannel(cycle), comp[bestAt]
+}
+
+// girthHeap is a binary min-heap of component positions keyed by (lb of
+// the member, position); positions follow canonical channel order.
+type girthHeap struct {
+	items []int
+	comp  []int
+	lb    []int
+}
+
+func (h *girthHeap) less(a, b int) bool {
+	la, lb := h.lb[h.comp[a]], h.lb[h.comp[b]]
+	return la < lb || la == lb && a < b
+}
+
+func (h *girthHeap) init() {
+	for i := len(h.items)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+// down restores the heap below i after the key at i grew.
+func (h *girthHeap) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h.items) {
+			return
+		}
+		if r := c + 1; r < len(h.items) && h.less(h.items[r], h.items[c]) {
+			c = r
+		}
+		if !h.less(h.items[c], h.items[i]) {
+			return
+		}
+		h.items[i], h.items[c] = h.items[c], h.items[i]
+		i = c
+	}
 }
 
 // probe runs one BFS for the shortest cycle through start, restricted to
-// the component most recently stamped via scratch.compStamp. With bound
-// > 0 only a cycle strictly shorter than bound is reported; bound <= 0 is
-// unbounded. It is the single probe both selection policies share.
-func (m *Incremental) probe(start, bound int) []int {
+// the component stamped by stampComponent. With bound > 0 only a cycle
+// strictly shorter than bound counts, and the BFS never enqueues a vertex
+// that could only close a longer one; bound <= 0 is unbounded. It
+// returns the cycle's last vertex and length, or -1 when there is none;
+// pathTo(last) rebuilds the cycle until the next search. It is the single
+// probe both selection policies share.
+func (m *Incremental) probe(start, bound int) (last, length int) {
+	if bound == 1 {
+		return -1, 0
+	}
 	sc := &m.scratch
 	sc.epoch++
 	sc.stamp[start] = sc.epoch
 	sc.dist[start] = 0
 	sc.parent[start] = -1
 	queue := append(sc.queue[:0], start)
-	defer func() { sc.queue = queue[:0] }()
 	for qi := 0; qi < len(queue); qi++ {
 		u := queue[qi]
-		if bound > 0 && sc.dist[u]+1 >= bound {
-			continue
-		}
+		du := sc.dist[u]
+		deeper := bound <= 0 || du+2 < bound
 		for _, v := range m.succ[u] {
 			if sc.compStamp[v] != sc.compEpoch {
 				continue
 			}
 			if v == start {
-				if bound > 0 && sc.dist[u]+1 >= bound {
-					return nil
-				}
-				var rev []int
-				for x := u; x != -1; x = sc.parent[x] {
-					rev = append(rev, x)
-				}
-				out := make([]int, len(rev))
-				for i, x := range rev {
-					out[len(rev)-1-i] = x
-				}
-				return out
+				sc.queue = queue[:0]
+				return u, du + 1
 			}
-			if sc.stamp[v] != sc.epoch {
+			if deeper && sc.stamp[v] != sc.epoch {
 				sc.stamp[v] = sc.epoch
-				sc.dist[v] = sc.dist[u] + 1
+				sc.dist[v] = du + 1
 				sc.parent[v] = u
 				queue = append(queue, v)
 			}
 		}
 	}
-	return nil
+	sc.queue = queue[:0]
+	return -1, 0
+}
+
+// pathTo returns the BFS tree path from the last probe's start to last.
+func (m *Incremental) pathTo(last int) []int {
+	n := m.scratch.dist[last] + 1
+	out := make([]int, n)
+	for x := last; x != -1; x = m.scratch.parent[x] {
+		n--
+		out[n] = x
+	}
+	return out
 }
 
 // rotateToMinChannel rotates a cycle to start at its canonically smallest
@@ -577,7 +797,12 @@ func (m *Incremental) Acyclic() bool {
 func (m *Incremental) SmallestCycle() []topology.Channel {
 	m.refresh()
 	var best *sccEntry
-	for _, e := range m.cache {
+	for key, e := range m.cache {
+		if e.cycle == nil {
+			cycle, start := m.shortestCycleIn(e.members)
+			e = &sccEntry{members: e.members, cycle: cycle, start: start}
+			m.cache[key] = e
+		}
 		if e.cycle == nil {
 			continue // defensive: nontrivial SCCs always have a cycle
 		}
@@ -606,22 +831,12 @@ func (m *Incremental) SmallestCycleThroughFirstCyclic() []topology.Channel {
 	if entry == nil {
 		return nil
 	}
-	return m.toChannels(m.cycleThrough(entry, entry.members[0]))
-}
-
-// cycleThrough runs the restricted BFS probe for the shortest cycle
-// through one member of an SCC, returned starting at that vertex.
-func (m *Incremental) cycleThrough(e *sccEntry, start int) []int {
-	if m.hasEdge(start, start) {
-		return []int{start}
+	m.stampComponent(entry.members)
+	last, _ := m.probe(entry.members[0], 0)
+	if last < 0 {
+		return nil
 	}
-	sc := &m.scratch
-	sc.ensure(len(m.chans))
-	sc.compEpoch++
-	for _, v := range e.members {
-		sc.compStamp[v] = sc.compEpoch
-	}
-	return m.probe(start, 0)
+	return m.toChannels(m.pathTo(last))
 }
 
 func (m *Incremental) toChannels(ids []int) []topology.Channel {

@@ -25,6 +25,8 @@ type Snapshot struct {
 	edgeFlows map[[2]int][]int
 	nEdges    int
 	touched   map[int]bool
+	inserted  [][2]int
+	lb        []int
 	cache     map[int]*sccEntry
 	valid     bool
 }
@@ -43,6 +45,8 @@ func (m *Incremental) Snapshot() *Snapshot {
 		edgeFlows: copyEdgeFlows(m.edgeFlows),
 		nEdges:    m.nEdges,
 		touched:   copyBoolMap(m.touched),
+		inserted:  append([][2]int(nil), m.inserted...),
+		lb:        append([]int(nil), m.lb...),
 		cache:     copyCache(m.cache),
 		valid:     m.valid,
 	}
@@ -61,6 +65,8 @@ func (m *Incremental) Restore(s *Snapshot) {
 	m.edgeFlows = copyEdgeFlows(s.edgeFlows)
 	m.nEdges = s.nEdges
 	m.touched = copyBoolMap(s.touched)
+	m.inserted = append(m.inserted[:0], s.inserted...)
+	m.lb = append(m.lb[:0], s.lb...)
 	m.cache = copyCache(s.cache)
 	m.valid = s.valid
 }
@@ -111,8 +117,7 @@ func copyEdgeFlows(src map[[2]int][]int) map[[2]int][]int {
 }
 
 // copyCache shallow-copies the SCC cache: entries are immutable once
-// refresh builds them, so sharing them between the live graph and a
-// snapshot is safe.
+// cached, so sharing them between the live graph and a snapshot is safe.
 func copyCache(src map[int]*sccEntry) map[int]*sccEntry {
 	out := make(map[int]*sccEntry, len(src))
 	for k, v := range src {

@@ -90,13 +90,21 @@ func (g *cdgraph) toposort() ([]int, bool) {
 // among equal lengths (start vertices are scanned in canonical order).
 // Must only be called on a graph toposort rejected.
 func (g *cdgraph) smallestCycle() []int {
+	// A self-loop (length 1) beats every other cycle, so the smallest
+	// vertex carrying one wins before any search; with self-loops ruled
+	// out, a 2-cycle cannot be beaten by a later start.
+	for v := range g.adj {
+		if g.hasEdge(v, v) {
+			return []int{v}
+		}
+	}
 	n := len(g.channels)
 	best := []int(nil)
 	parent := make([]int, n)
 	dist := make([]int, n)
 	for s := 0; s < n; s++ {
-		if best != nil && len(best) == 2 {
-			break // a 2-cycle (or self-loop, len 1) cannot be beaten by later starts
+		if len(best) == 2 {
+			break
 		}
 		for i := range dist {
 			dist[i] = -1
@@ -136,9 +144,6 @@ func (g *cdgraph) smallestCycle() []int {
 		}
 		if best == nil || len(cycle) < len(best) {
 			best = cycle
-		}
-		if len(best) == 1 {
-			break // self-loop, globally minimal
 		}
 	}
 	return best

@@ -68,6 +68,23 @@ func TestIncrementalMatchesFullRebuildBenchmarks(t *testing.T) {
 	}
 }
 
+// TestIncrementalMatchesFullRebuildAtScale runs the differential check on
+// the scaling benchmark's inputs, where one giant component takes almost
+// every break: hundreds of breaks lean on the incremental search's girth
+// bounds, so a stale bound would surface here as a different cycle.
+func TestIncrementalMatchesFullRebuildAtScale(t *testing.T) {
+	for _, tc := range []struct{ cores, switches int }{{128, 48}, {192, 64}} {
+		g := traffic.RandomKOut("scale", tc.cores, 6, 99)
+		des, err := synth.Synthesize(g, synth.Options{SwitchCount: tc.switches})
+		if err != nil {
+			t.Fatalf("synthesize %d cores @ %d: %v", tc.cores, tc.switches, err)
+		}
+		assertSameRemoval(t, g.Name, Options{}, func(o Options) (*Result, error) {
+			return Remove(des.Topology, des.Routes, o)
+		})
+	}
+}
+
 // TestIncrementalMatchesFullRebuildPolicies covers the non-default
 // direction and selection policies on random inputs.
 func TestIncrementalMatchesFullRebuildPolicies(t *testing.T) {

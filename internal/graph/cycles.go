@@ -56,19 +56,23 @@ func (g *Digraph) ShortestCycle() []int {
 	if n == 0 {
 		return nil
 	}
+	// A self-loop is the shortest possible cycle, so the smallest vertex
+	// carrying one wins outright. With self-loops ruled out first, a
+	// 2-cycle found by the scan below cannot be beaten.
+	for v, out := range g.succ {
+		for _, s := range out {
+			if s == v {
+				return []int{v}
+			}
+		}
+	}
 	best := []int(nil)
 	parent := make([]int, n)
 	dist := make([]int, n)
 	queue := make([]int, 0, n)
 	for start := 0; start < n; start++ {
-		// A self-loop is the shortest possible cycle; report immediately.
-		for _, s := range g.succ[start] {
-			if s == start {
-				return []int{start}
-			}
-		}
-		if best != nil && len(best) == 2 {
-			break // cannot beat a 2-cycle except by a self-loop, handled above
+		if len(best) == 2 {
+			break
 		}
 		for i := range dist {
 			dist[i] = -1
