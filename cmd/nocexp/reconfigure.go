@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 
 	nocdr "github.com/nocdr/nocdr"
@@ -136,7 +137,7 @@ func runReconfigure(ctx context.Context, args []string, stdout, stderr io.Writer
 	// apply it as its own event, track the live fault set for the seeded
 	// selectors. A storm stops cleanly when no connectivity-safe link is
 	// left.
-	live, err := liveGrid(d)
+	live, err := reconfig.LiveGrid(d)
 	if err != nil {
 		return err
 	}
@@ -262,27 +263,6 @@ func faultSource(live *regular.Grid, faultList string, faultCount int, faultSeed
 	}
 }
 
-// liveGrid rebuilds the design's grid with its current fault set so the
-// seeded fault selectors see the same connectivity the design does.
-func liveGrid(d *reconfig.Design) (*regular.Grid, error) {
-	var g *regular.Grid
-	var err error
-	if d.Grid.Wrap {
-		g, err = regular.Torus(d.Grid.Cols, d.Grid.Rows)
-	} else {
-		g, err = regular.Mesh(d.Grid.Cols, d.Grid.Rows)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if faults := d.Topology.FaultedLinks(); len(faults) > 0 {
-		if err := g.Topology.Fault(faults...); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
-}
-
 // parsePreset parses mesh:<cols>x<rows> / torus:<cols>x<rows>.
 func parsePreset(s string) (wrap bool, cols, rows int, err error) {
 	kind, dims, ok := strings.Cut(s, ":")
@@ -298,9 +278,10 @@ func parsePreset(s string) (wrap bool, cols, rows int, err error) {
 	if ok {
 		var c, r string
 		if c, r, ok = strings.Cut(dims, "x"); ok {
-			if _, err := fmt.Sscanf(c+" "+r, "%d %d", &cols, &rows); err != nil || cols < 2 || rows < 2 {
-				ok = false
-			}
+			var errC, errR error
+			cols, errC = strconv.Atoi(c)
+			rows, errR = strconv.Atoi(r)
+			ok = errC == nil && errR == nil && cols >= 2 && rows >= 2
 		}
 	}
 	if !ok {

@@ -49,6 +49,8 @@ func TestDesignRejectsBadFlags(t *testing.T) {
 		{"-preset", "ring:4x4"},
 		{"-preset", "mesh:4"},
 		{"-preset", "mesh:1x4"},
+		{"-preset", "mesh:4x4junk"},
+		{"-preset", "torus:3x3x9"},
 		{"-routing", "zig-zag"},
 		{"-traffic", "lumpy"},
 		{"-preset", "mesh:4x4", "extra-arg"},

@@ -145,7 +145,7 @@ func (g *Digraph) ShortestCycleThrough(start int) []int {
 	return nil
 }
 
-// reconstructPath walks parent pointers from last back to the BFS root and
+// reconstructPath walks parent pointers from last back to the search root and
 // returns root…last.
 func reconstructPath(parent []int, last int) []int {
 	var rev []int

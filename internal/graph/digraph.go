@@ -1,5 +1,8 @@
-// Package graph provides a small deterministic directed-graph kernel used
-// by the topology, channel-dependency-graph and routing packages.
+// Package graph provides a small deterministic directed-graph kernel:
+// edge insertion, reachability, least-cost paths, strongly connected
+// components and cycle search. Its users are the channel dependency graph
+// (internal/cdg), route synthesis (internal/route) and the fault selector
+// of internal/regular.
 //
 // Nodes are dense non-negative integers assigned by the caller. All
 // traversals visit neighbours in insertion order, so every algorithm in
@@ -20,7 +23,6 @@ import (
 // collapsed: AddEdge is idempotent per (from, to) pair.
 type Digraph struct {
 	succ    [][]int         // adjacency lists in insertion order
-	pred    [][]int         // reverse adjacency lists in insertion order
 	edgeSet map[[2]int]bool // existence check for O(1) duplicate rejection
 	nEdges  int
 }
@@ -29,7 +31,6 @@ type Digraph struct {
 func New(n int) *Digraph {
 	return &Digraph{
 		succ:    make([][]int, 0, n),
-		pred:    make([][]int, 0, n),
 		edgeSet: make(map[[2]int]bool),
 	}
 }
@@ -48,7 +49,6 @@ func (g *Digraph) Ensure(id int) {
 	}
 	for len(g.succ) <= id {
 		g.succ = append(g.succ, nil)
-		g.pred = append(g.pred, nil)
 	}
 }
 
@@ -68,32 +68,8 @@ func (g *Digraph) AddEdge(from, to int) bool {
 	}
 	g.edgeSet[key] = true
 	g.succ[from] = append(g.succ[from], to)
-	g.pred[to] = append(g.pred[to], from)
 	g.nEdges++
 	return true
-}
-
-// RemoveEdge deletes the directed edge from→to if present and reports
-// whether it existed.
-func (g *Digraph) RemoveEdge(from, to int) bool {
-	key := [2]int{from, to}
-	if g.edgeSet == nil || !g.edgeSet[key] {
-		return false
-	}
-	delete(g.edgeSet, key)
-	g.succ[from] = removeFirst(g.succ[from], to)
-	g.pred[to] = removeFirst(g.pred[to], from)
-	g.nEdges--
-	return true
-}
-
-func removeFirst(s []int, v int) []int {
-	for i, x := range s {
-		if x == v {
-			return append(s[:i], s[i+1:]...)
-		}
-	}
-	return s
 }
 
 // HasEdge reports whether the directed edge from→to exists.
@@ -103,30 +79,6 @@ func (g *Digraph) HasEdge(from, to int) bool {
 	}
 	return g.edgeSet[[2]int{from, to}]
 }
-
-// Succ returns the successors of node id in insertion order.
-// The returned slice is owned by the graph and must not be modified.
-func (g *Digraph) Succ(id int) []int {
-	if id < 0 || id >= len(g.succ) {
-		return nil
-	}
-	return g.succ[id]
-}
-
-// Pred returns the predecessors of node id in insertion order.
-// The returned slice is owned by the graph and must not be modified.
-func (g *Digraph) Pred(id int) []int {
-	if id < 0 || id >= len(g.pred) {
-		return nil
-	}
-	return g.pred[id]
-}
-
-// OutDegree reports the number of successors of node id.
-func (g *Digraph) OutDegree(id int) int { return len(g.Succ(id)) }
-
-// InDegree reports the number of predecessors of node id.
-func (g *Digraph) InDegree(id int) int { return len(g.Pred(id)) }
 
 // Edges returns all edges sorted by (from, to); useful for stable output.
 func (g *Digraph) Edges() [][2]int {
@@ -143,30 +95,4 @@ func (g *Digraph) Edges() [][2]int {
 		return out[i][1] < out[j][1]
 	})
 	return out
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Digraph) Clone() *Digraph {
-	c := New(len(g.succ))
-	c.Ensure(len(g.succ) - 1)
-	for from, adj := range g.succ {
-		for _, to := range adj {
-			c.AddEdge(from, to)
-		}
-	}
-	return c
-}
-
-// Reverse returns a new graph with every edge direction flipped.
-func (g *Digraph) Reverse() *Digraph {
-	r := New(len(g.succ))
-	if n := len(g.succ); n > 0 {
-		r.Ensure(n - 1)
-	}
-	for from, adj := range g.succ {
-		for _, to := range adj {
-			r.AddEdge(to, from)
-		}
-	}
-	return r
 }

@@ -41,8 +41,8 @@ func TestEnsureGrowsNodes(t *testing.T) {
 	if g.NumNodes() != 6 {
 		t.Errorf("NumNodes = %d, want 6", g.NumNodes())
 	}
-	if g.Succ(5) != nil || g.Pred(5) != nil {
-		t.Error("fresh node has adjacency")
+	if g.NumEdges() != 0 || g.Reachable(5, 0) || g.Reachable(0, 5) {
+		t.Error("fresh nodes are connected")
 	}
 }
 
@@ -54,47 +54,6 @@ func TestEnsureNegativePanics(t *testing.T) {
 	}()
 	g := New(0)
 	g.Ensure(-1)
-}
-
-func TestRemoveEdge(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 0)
-	if !g.RemoveEdge(1, 2) {
-		t.Fatal("RemoveEdge(1,2) returned false")
-	}
-	if g.RemoveEdge(1, 2) {
-		t.Error("second RemoveEdge(1,2) returned true")
-	}
-	if g.HasEdge(1, 2) {
-		t.Error("edge (1,2) still present")
-	}
-	if g.NumEdges() != 2 {
-		t.Errorf("NumEdges = %d, want 2", g.NumEdges())
-	}
-	if g.HasCycle() {
-		t.Error("cycle remains after breaking edge")
-	}
-}
-
-func TestSuccPredConsistency(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 2)
-	g.AddEdge(2, 1)
-	if got := g.Succ(0); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Errorf("Succ(0) = %v, want [1 2]", got)
-	}
-	if got := g.Pred(1); len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Errorf("Pred(1) = %v, want [0 2]", got)
-	}
-	if g.OutDegree(0) != 2 || g.InDegree(1) != 2 {
-		t.Error("degree mismatch")
-	}
-	if g.Succ(-1) != nil || g.Succ(99) != nil {
-		t.Error("out-of-range Succ not nil")
-	}
 }
 
 func TestEdgesSorted(t *testing.T) {
@@ -111,35 +70,6 @@ func TestEdgesSorted(t *testing.T) {
 		if edges[i] != want[i] {
 			t.Errorf("Edges()[%d] = %v, want %v", i, edges[i], want[i])
 		}
-	}
-}
-
-func TestCloneIndependent(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1)
-	c := g.Clone()
-	c.AddEdge(1, 2)
-	if g.HasEdge(1, 2) {
-		t.Error("mutating clone affected original")
-	}
-	if !c.HasEdge(0, 1) {
-		t.Error("clone lost edge (0,1)")
-	}
-}
-
-func TestReverse(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	r := g.Reverse()
-	if !r.HasEdge(1, 0) || !r.HasEdge(2, 1) {
-		t.Error("Reverse missing flipped edges")
-	}
-	if r.HasEdge(0, 1) {
-		t.Error("Reverse kept original edge direction")
-	}
-	if r.NumNodes() != g.NumNodes() {
-		t.Error("Reverse changed node count")
 	}
 }
 
@@ -268,6 +198,8 @@ func TestCyclicNodes(t *testing.T) {
 	}
 }
 
+// The BFSPath tests cover Reachable, the breadth-first search over
+// successors.
 func TestBFSPath(t *testing.T) {
 	g := New(6)
 	g.AddEdge(0, 1)
@@ -275,16 +207,18 @@ func TestBFSPath(t *testing.T) {
 	g.AddEdge(2, 5)
 	g.AddEdge(0, 3)
 	g.AddEdge(3, 5)
-	p := g.BFSPath(0, 5)
-	if len(p) != 3 {
-		t.Fatalf("BFSPath(0,5) = %v, want length 3", p)
-	}
-	if p[0] != 0 || p[len(p)-1] != 5 {
-		t.Errorf("path endpoints wrong: %v", p)
-	}
-	for i := 0; i+1 < len(p); i++ {
-		if !g.HasEdge(p[i], p[i+1]) {
-			t.Errorf("path %v uses missing edge %d→%d", p, p[i], p[i+1])
+	for _, tc := range []struct {
+		src, dst int
+		want     bool
+	}{
+		{0, 5, true},  // two routes, shortest is two hops
+		{1, 5, true},  // three-hop chain suffix
+		{3, 5, true},  // one hop
+		{5, 0, false}, // edges are directed
+		{2, 3, false}, // sibling branch
+	} {
+		if got := g.Reachable(tc.src, tc.dst); got != tc.want {
+			t.Errorf("Reachable(%d,%d) = %v, want %v", tc.src, tc.dst, got, tc.want)
 		}
 	}
 }
@@ -293,23 +227,30 @@ func TestBFSPathUnreachable(t *testing.T) {
 	g := New(4)
 	g.AddEdge(0, 1)
 	g.AddEdge(2, 3)
-	if p := g.BFSPath(0, 3); p != nil {
-		t.Errorf("BFSPath to unreachable node = %v, want nil", p)
-	}
-	if g.Reachable(0, 3) {
-		t.Error("Reachable(0,3) = true")
-	}
-	if !g.Reachable(0, 0) {
-		t.Error("Reachable(0,0) = false")
+	for _, tc := range []struct {
+		src, dst int
+		want     bool
+	}{
+		{0, 3, false},  // other component
+		{1, 0, false},  // edges are directed
+		{0, 99, false}, // out of range
+		{-1, 0, false},
+		{0, 1, true},
+	} {
+		if got := g.Reachable(tc.src, tc.dst); got != tc.want {
+			t.Errorf("Reachable(%d,%d) = %v, want %v", tc.src, tc.dst, got, tc.want)
+		}
 	}
 }
 
 func TestBFSPathSelf(t *testing.T) {
 	g := New(2)
 	g.AddEdge(0, 1)
-	p := g.BFSPath(0, 0)
-	if len(p) != 1 || p[0] != 0 {
-		t.Errorf("BFSPath(0,0) = %v, want [0]", p)
+	if !g.Reachable(0, 0) {
+		t.Error("Reachable(0,0) = false, want true")
+	}
+	if !g.Reachable(1, 1) {
+		t.Error("Reachable(1,1) = false for a sink, want true")
 	}
 }
 
@@ -337,37 +278,6 @@ func TestDijkstraUnreachable(t *testing.T) {
 	g.Ensure(2)
 	if p := g.DijkstraPath(0, 2, func(u, v int) float64 { return 1 }); p != nil {
 		t.Errorf("DijkstraPath unreachable = %v, want nil", p)
-	}
-}
-
-func TestTopoSortDAG(t *testing.T) {
-	g := New(5)
-	g.AddEdge(0, 2)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	g.AddEdge(2, 4)
-	order, ok := g.TopoSort()
-	if !ok {
-		t.Fatal("TopoSort reported cycle on DAG")
-	}
-	pos := make(map[int]int)
-	for i, v := range order {
-		pos[v] = i
-	}
-	for _, e := range g.Edges() {
-		if pos[e[0]] >= pos[e[1]] {
-			t.Errorf("TopoSort order violates edge %v", e)
-		}
-	}
-}
-
-func TestTopoSortCycle(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 0)
-	if _, ok := g.TopoSort(); ok {
-		t.Error("TopoSort succeeded on cyclic graph")
 	}
 }
 
@@ -425,8 +335,8 @@ func TestShortestCycleAgreementProperty(t *testing.T) {
 	}
 }
 
-// Property: TopoSort succeeds iff HasCycle is false, and SCCs partition
-// the node set.
+// Property: HasCycle holds exactly when some SCC is cyclic (two or more
+// nodes, or one node with a self-loop), and SCCs partition the node set.
 func TestTopoSCCConsistencyProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -436,13 +346,13 @@ func TestTopoSCCConsistencyProperty(t *testing.T) {
 		for i := 0; i < 2*n; i++ {
 			g.AddEdge(rng.Intn(n), rng.Intn(n))
 		}
-		_, ok := g.TopoSort()
-		if ok == g.HasCycle() {
-			return false
-		}
 		seen := make([]bool, n)
 		total := 0
+		cyclic := false
 		for _, comp := range g.SCCs() {
+			if len(comp) > 1 || g.HasEdge(comp[0], comp[0]) {
+				cyclic = true
+			}
 			for _, v := range comp {
 				if seen[v] {
 					return false
@@ -451,16 +361,16 @@ func TestTopoSCCConsistencyProperty(t *testing.T) {
 				total++
 			}
 		}
-		return total == n
+		return total == n && cyclic == g.HasCycle()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: removing every edge of a shortest cycle one at a time always
-// reduces or eliminates that specific cycle (sanity of RemoveEdge +
-// ShortestCycle interplay used by the removal loop).
+// Property: repeatedly deleting the closing edge of the shortest cycle
+// terminates in an acyclic graph within the edge budget. Each round
+// rebuilds the graph without the deleted edge.
 func TestRemoveShortestCycleEdgeProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -475,7 +385,18 @@ func TestRemoveShortestCycleEdgeProperty(t *testing.T) {
 			if c == nil {
 				return !g.HasCycle()
 			}
-			g.RemoveEdge(c[len(c)-1], c[0])
+			drop := [2]int{c[len(c)-1], c[0]}
+			next := New(n)
+			next.Ensure(n - 1)
+			for _, e := range g.Edges() {
+				if e != drop {
+					next.AddEdge(e[0], e[1])
+				}
+			}
+			if next.NumEdges() != g.NumEdges()-1 {
+				return false
+			}
+			g = next
 		}
 		return !g.HasCycle()
 	}

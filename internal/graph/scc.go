@@ -1,5 +1,7 @@
 package graph
 
+import "sort"
+
 // SCCs returns the strongly connected components of the graph using an
 // iterative Tarjan algorithm. Components are emitted in reverse
 // topological order of the condensation (callees before callers), each
@@ -69,22 +71,12 @@ func (g *Digraph) SCCs() [][]int {
 						break
 					}
 				}
-				sortInts(comp)
+				sort.Ints(comp)
 				comps = append(comps, comp)
 			}
 		}
 	}
 	return comps
-}
-
-// sortInts is a tiny insertion sort: component slices are usually short,
-// and this avoids pulling sort into the hot path.
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // CyclicNodes returns the set of nodes that lie on at least one directed
@@ -100,6 +92,6 @@ func (g *Digraph) CyclicNodes() []int {
 			out = append(out, comp[0])
 		}
 	}
-	sortInts(out)
+	sort.Ints(out)
 	return out
 }

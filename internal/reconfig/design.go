@@ -102,14 +102,9 @@ func (d *Design) Verify() error {
 // fresh (base VCs only), re-apply its fault set, regenerate every flow's
 // candidates, and run a full RemoveSet. The design itself is untouched.
 func ColdRemove(ctx context.Context, d *Design, opts core.Options) (*core.SetResult, error) {
-	g, err := d.freshGrid()
+	g, err := LiveGrid(d)
 	if err != nil {
 		return nil, err
-	}
-	if faults := d.Topology.FaultedLinks(); len(faults) > 0 {
-		if err := g.Topology.Fault(faults...); err != nil {
-			return nil, err
-		}
 	}
 	set, err := route.GridRoutes(g.Topology, d.Traffic, d.Grid, d.Model, d.MaxPaths)
 	if err != nil {
@@ -118,14 +113,28 @@ func ColdRemove(ctx context.Context, d *Design, opts core.Options) (*core.SetRes
 	return core.RemoveSetContext(ctx, g.Topology, set, opts)
 }
 
-// freshGrid rebuilds the design's base grid (1 VC per link, no faults)
-// from its recorded shape. Designs are grid-born by construction — New
-// is the only producer — so link IDs line up with the design's own.
-func (d *Design) freshGrid() (*regular.Grid, error) {
+// LiveGrid rebuilds the design's grid from its recorded shape (1 VC per
+// link) and masks the design's faulted links, so the result has the
+// design's connectivity without its removal VCs. Designs are grid-born by
+// construction — New is the only producer — so link IDs line up with the
+// design's own.
+func LiveGrid(d *Design) (*regular.Grid, error) {
+	var g *regular.Grid
+	var err error
 	if d.Grid.Wrap {
-		return regular.Torus(d.Grid.Cols, d.Grid.Rows)
+		g, err = regular.Torus(d.Grid.Cols, d.Grid.Rows)
+	} else {
+		g, err = regular.Mesh(d.Grid.Cols, d.Grid.Rows)
 	}
-	return regular.Mesh(d.Grid.Cols, d.Grid.Rows)
+	if err != nil {
+		return nil, err
+	}
+	if faults := d.Topology.FaultedLinks(); len(faults) > 0 {
+		if err := g.Topology.Fault(faults...); err != nil {
+			return nil, err
+		}
+	}
+	return g, nil
 }
 
 type jsonDesign struct {

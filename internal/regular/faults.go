@@ -4,15 +4,8 @@ import (
 	"fmt"
 
 	"github.com/nocdr/nocdr/internal/graph"
-	"github.com/nocdr/nocdr/internal/route"
 	"github.com/nocdr/nocdr/internal/topology"
 )
-
-// Spec projects the grid onto the coordinate description the turn-model
-// route generators consume.
-func (g *Grid) Spec() route.GridSpec {
-	return route.GridSpec{Cols: g.Cols, Rows: g.Rows, Wrap: g.Wrap}
-}
 
 // SelectFaults picks n distinct links to fail, seeded and deterministic,
 // such that the surviving switch graph stays strongly connected — every
@@ -80,7 +73,8 @@ func shuffledLinks(n int, state uint64) []topology.LinkID {
 }
 
 // stronglyConnected reports whether the switch graph minus the faulted
-// (and already-masked) links is strongly connected.
+// (and already-masked) links is strongly connected: one Tarjan pass
+// finds a single component.
 func stronglyConnected(top *topology.Topology, extraFaults map[topology.LinkID]bool) bool {
 	n := top.NumSwitches()
 	if n <= 1 {
@@ -94,11 +88,5 @@ func stronglyConnected(top *topology.Topology, extraFaults map[topology.LinkID]b
 		}
 		sg.AddEdge(int(l.From), int(l.To))
 	}
-	rev := sg.Reverse()
-	for v := 1; v < n; v++ {
-		if !sg.Reachable(0, v) || !rev.Reachable(0, v) {
-			return false
-		}
-	}
-	return true
+	return len(sg.SCCs()) == 1
 }

@@ -131,70 +131,21 @@ func Ring(n int, bidirectional bool) (*Grid, error) {
 // on a mesh this is the textbook deadlock-free XY routing; on a torus
 // each dimension takes the minimal direction (ties go positive), crossing
 // the wrap-around link when shorter — the configuration whose CDG cycles
-// the removal algorithm exists to break.
+// the removal algorithm exists to break. It is the single-path projection
+// of route.GridRoutes under the DOR turn model, so a hop over a missing
+// or faulted link is an error: deterministic DOR cannot route around it.
 func DORRoutes(g *Grid, tg *traffic.Graph) (*route.Table, error) {
-	tab := route.NewTable(tg.NumFlows())
-	for _, f := range tg.Flows() {
-		src, ok := g.Topology.SwitchOf(int(f.Src))
-		if !ok {
-			return nil, fmt.Errorf("regular: core %d not attached", f.Src)
-		}
-		dst, ok := g.Topology.SwitchOf(int(f.Dst))
-		if !ok {
-			return nil, fmt.Errorf("regular: core %d not attached", f.Dst)
-		}
-		var channels []topology.Channel
-		cx, cy := g.Coord(src)
-		dx, dy := g.Coord(dst)
-		// X dimension first.
-		for cx != dx {
-			step := dirStep(cx, dx, g.Cols, g.Wrap)
-			next := (cx + step + g.Cols) % g.Cols
-			id, ok := g.Topology.FindLink(g.SwitchAt(cx, cy), g.SwitchAt(next, cy))
-			if !ok {
-				return nil, fmt.Errorf("regular: missing X link (%d,%d)→(%d,%d)", cx, cy, next, cy)
-			}
-			if g.Topology.Faulted(id) {
-				return nil, fmt.Errorf("regular: DOR route for flow %d crosses faulted link %d (deterministic DOR cannot route around faults; use an adaptive routing)", f.ID, id)
-			}
-			channels = append(channels, topology.Chan(id, 0))
-			cx = next
-		}
-		// Then Y.
-		for cy != dy {
-			step := dirStep(cy, dy, g.Rows, g.Wrap)
-			next := (cy + step + g.Rows) % g.Rows
-			id, ok := g.Topology.FindLink(g.SwitchAt(cx, cy), g.SwitchAt(cx, next))
-			if !ok {
-				return nil, fmt.Errorf("regular: missing Y link (%d,%d)→(%d,%d)", cx, cy, cx, next)
-			}
-			if g.Topology.Faulted(id) {
-				return nil, fmt.Errorf("regular: DOR route for flow %d crosses faulted link %d (deterministic DOR cannot route around faults; use an adaptive routing)", f.ID, id)
-			}
-			channels = append(channels, topology.Chan(id, 0))
-			cy = next
-		}
-		tab.Set(f.ID, channels)
+	set, err := route.GridRoutes(g.Topology, tg, g.Spec(), route.DOR, 1)
+	if err != nil {
+		return nil, err
 	}
-	return tab, nil
+	return set.Primary(), nil
 }
 
-// dirStep returns +1 or −1: the minimal-distance direction from cur to
-// dst along a dimension of size n, wrapping only when the topology wraps
-// (and the dimension is large enough to have wrap links). Ties go +1.
-func dirStep(cur, dst, n int, wrap bool) int {
-	if !wrap || n <= 2 {
-		if dst > cur {
-			return 1
-		}
-		return -1
-	}
-	fwd := ((dst - cur) + n) % n
-	bwd := n - fwd
-	if fwd <= bwd {
-		return 1
-	}
-	return -1
+// Spec projects the grid onto the coordinate description the turn-model
+// route generators consume.
+func (g *Grid) Spec() route.GridSpec {
+	return route.GridSpec{Cols: g.Cols, Rows: g.Rows, Wrap: g.Wrap}
 }
 
 // UniformTraffic builds a one-core-per-switch traffic graph where every

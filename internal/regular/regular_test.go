@@ -80,6 +80,18 @@ func TestRing(t *testing.T) {
 	if bidi.Topology.NumLinks() != 10 {
 		t.Errorf("bidirectional ring links = %d, want 10", bidi.Topology.NumLinks())
 	}
+	// Stride 4 of 5 is one hop backwards, which a unidirectional ring has
+	// no link for; the bidirectional ring takes it.
+	back, err := UniformTraffic(5, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DORRoutes(uni, back); err == nil {
+		t.Error("DOR on a unidirectional ring routed a backward hop")
+	}
+	if _, err := DORRoutes(bidi, back); err != nil {
+		t.Error(err)
+	}
 }
 
 func TestUniformTraffic(t *testing.T) {

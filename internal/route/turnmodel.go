@@ -312,9 +312,9 @@ func RegenerateFlows(top *topology.Topology, g *traffic.Graph, gs GridSpec, mode
 }
 
 // dorPath walks X then Y, taking the minimal direction per dimension
-// (ties positive, matching internal/regular.DORRoutes), and fails if any
-// hop's link is missing or faulted — deterministic DOR cannot route
-// around a fault.
+// (ties positive), and fails if any hop's link is missing or faulted —
+// deterministic DOR cannot route around a fault. It is the repository's
+// only XY walk: internal/regular.DORRoutes projects GridRoutes under DOR.
 func dorPath(top *topology.Topology, gs GridSpec, src, dst topology.SwitchID) ([]topology.Channel, error) {
 	var channels []topology.Channel
 	cx, cy := gs.coord(src)

@@ -2,11 +2,13 @@ package route_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"github.com/nocdr/nocdr/internal/cdg"
 	"github.com/nocdr/nocdr/internal/regular"
 	"github.com/nocdr/nocdr/internal/route"
+	"github.com/nocdr/nocdr/internal/topology"
 	"github.com/nocdr/nocdr/internal/traffic"
 )
 
@@ -250,41 +252,53 @@ func TestFlattenSinglePathIdentity(t *testing.T) {
 	}
 }
 
-// TestGridRoutesDORMatchesRegular pins the two DOR implementations to
-// each other: route.GridRoutes under the DOR model must produce exactly
-// the channel sequences of regular.DORRoutes on mesh and torus — the
-// claim that dor sweep cells match the classic single-path pipeline
-// rests on the two XY walks (and their tie-breaks) staying in sync.
-func TestGridRoutesDORMatchesRegular(t *testing.T) {
-	for _, wrap := range []bool{false, true} {
-		var grid *regular.Grid
-		var err error
-		if wrap {
-			grid, err = regular.Torus(4, 4)
-		} else {
-			grid, err = regular.Mesh(4, 4)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		g := allToAll(t, 16)
-		tab, err := regular.DORRoutes(grid, g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		set, err := route.GridRoutes(grid.Topology, g, grid.Spec(), route.DOR, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range g.Flows() {
-			ps := set.Paths(f.ID)
-			if len(ps) != 1 {
-				t.Fatalf("wrap=%v flow %d: %d DOR paths, want 1", wrap, f.ID, len(ps))
+// TestGridRoutesDORKnownAnswers pins the XY walk to literal channel
+// sequences. Grid link IDs follow internal/regular's construction order:
+// the row links first (each as an east/west pair), then the column links
+// (each as a north/south pair); on a torus each ring's wrap pair closes
+// its row or column. Every hop rides VC 0.
+func TestGridRoutesDORKnownAnswers(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		wrap     bool
+		src, dst int
+		links    []topology.LinkID
+	}{
+		// mesh:4x4: east along row 0, then north up column 3.
+		{"mesh corner to corner", false, 0, 15, []topology.LinkID{0, 2, 4, 30, 38, 46}},
+		{"mesh back", false, 15, 0, []topology.LinkID{23, 21, 19, 41, 33, 25}},
+		{"mesh one hop each way", false, 5, 10, []topology.LinkID{8, 36}},
+		// torus:4x4: each row and column is a 4-ring.
+		{"torus distance-2 tie goes positive", true, 0, 2, []topology.LinkID{0, 2}},
+		{"torus tie crosses the wrap", true, 2, 0, []topology.LinkID{4, 6}},
+		{"torus wraps west then south", true, 0, 15, []topology.LinkID{7, 63}},
+		{"torus one hop each way", true, 5, 10, []topology.LinkID{10, 44}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			grid, err := regular.Mesh(4, 4)
+			if tc.wrap {
+				grid, err = regular.Torus(4, 4)
 			}
-			if fmt.Sprint(ps[0]) != fmt.Sprint(tab.Route(f.ID).Channels) {
-				t.Fatalf("wrap=%v flow %d: DOR paths diverge:\n GridRoutes: %v\n DORRoutes:  %v",
-					wrap, f.ID, ps[0], tab.Route(f.ID).Channels)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			g := traffic.NewGraph("dor")
+			for i := 0; i < 16; i++ {
+				g.AddCore("")
+			}
+			g.MustAddFlow(traffic.CoreID(tc.src), traffic.CoreID(tc.dst), 10)
+			set, err := route.GridRoutes(grid.Topology, g, grid.Spec(), route.DOR, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]topology.Channel, len(tc.links))
+			for i, id := range tc.links {
+				want[i] = topology.Chan(id, 0)
+			}
+			ps := set.Paths(0)
+			if len(ps) != 1 || !reflect.DeepEqual(ps[0], want) {
+				t.Errorf("DOR %d→%d = %v, want %v", tc.src, tc.dst, ps, want)
+			}
+		})
 	}
 }

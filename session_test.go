@@ -283,6 +283,21 @@ func TestSentinelErrors(t *testing.T) {
 	if _, err := NewSession().Synthesize(context.Background(), NewTraffic("empty"), SynthOptions{SwitchCount: 0}); !errors.Is(err, ErrInvalidInput) {
 		t.Fatalf("bad synth options error %v does not wrap ErrInvalidInput", err)
 	}
+	// DOR cannot route around a faulted link: the 0→1 hop is link 0.
+	grid, err := Mesh(2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := grid.Topology.Fault(0); err != nil {
+		t.Fatal(err)
+	}
+	tg, err := UniformTraffic(4, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DORRoutes(grid, tg); !errors.Is(err, ErrInvalidInput) {
+		t.Fatalf("DOR over a faulted link error %v does not wrap ErrInvalidInput", err)
+	}
 	// MaxIterations exhaustion surfaces the cyclic-CDG sentinel.
 	top, _, tab := torusWorkload(t)
 	if _, err := NewSession(WithMaxIterations(1)).RemoveDeadlocks(context.Background(), top, tab); !errors.Is(err, ErrCyclicCDG) {
