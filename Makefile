@@ -146,8 +146,8 @@ deep-loadsweep:
 # -differential additionally runs a from-scratch removal on the faulted
 # design and prints both VC counts next to each other in the log.
 reconfigure-smoke:
-	$(GO) run ./cmd/nocexp design -preset mesh:8x8 -routing odd-even \
-		-traffic all-to-all -out reconfig-design.json
+	$(GO) run ./cmd/nocexp design -preset mesh:8x8:all-to-all -routing odd-even \
+		-out reconfig-design.json
 	$(GO) run ./cmd/nocexp reconfigure -design reconfig-design.json \
 		-fault-count 2 -fault-seed 1 -differential \
 		-out reconfig-after.json -delta reconfig-deltas.json
@@ -161,8 +161,8 @@ deep-reconfigure:
 	@for preset in mesh:8x8 torus:8x8; do \
 		for routing in west-first north-last odd-even; do \
 			echo "== deep-reconfigure $$preset $$routing"; \
-			$(GO) run ./cmd/nocexp design -preset $$preset -routing $$routing \
-				-traffic all-to-all -out deep-reconfig-design.json || exit 1; \
+			$(GO) run ./cmd/nocexp design -preset $$preset:all-to-all -routing $$routing \
+				-out deep-reconfig-design.json || exit 1; \
 			$(GO) run ./cmd/nocexp reconfigure -design deep-reconfig-design.json \
 				-storm -storm-max 12 -quiet || exit 1; \
 		done; \

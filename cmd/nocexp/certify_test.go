@@ -23,7 +23,7 @@ const cyclicDesign = `{
 }`
 
 func TestCertifyWritesValidCertificate(t *testing.T) {
-	design := writeTestDesign(t, "-preset", "mesh:4x4", "-routing", "odd-even", "-traffic", "all-to-all")
+	design := writeTestDesign(t, "-preset", "mesh:4x4:all-to-all", "-routing", "odd-even")
 	certPath := filepath.Join(t.TempDir(), "cert.json")
 	var errOut bytes.Buffer
 	err := runCertify(context.Background(), []string{"-design", design, "-out", certPath}, io.Discard, &errOut)

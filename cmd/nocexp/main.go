@@ -25,7 +25,7 @@
 // pipeline: design writes a removed design bundle, reconfigure evolves it
 // through live link-fault events and reports each event's delta:
 //
-//	nocexp design -preset mesh:8x8 -routing odd-even -out design.json
+//	nocexp design -preset mesh:8x8:all-to-all -routing odd-even -out design.json
 //	nocexp reconfigure -design design.json -fault 17          # one event
 //	nocexp reconfigure -design design.json -fault-count 2 -fault-seed 1 -differential
 //	nocexp reconfigure -design design.json -storm -out evolved.json -delta deltas.json

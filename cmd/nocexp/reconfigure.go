@@ -8,10 +8,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	nocdr "github.com/nocdr/nocdr"
+	"github.com/nocdr/nocdr/internal/bench/runner"
 	"github.com/nocdr/nocdr/internal/core"
 	"github.com/nocdr/nocdr/internal/reconfig"
 	"github.com/nocdr/nocdr/internal/regular"
@@ -24,11 +24,10 @@ import (
 func runDesign(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("design", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	preset := fs.String("preset", "mesh:8x8", "grid preset: mesh:<cols>x<rows> or torus:<cols>x<rows>")
+	preset := fs.String("preset", "mesh:8x8",
+		"grid preset with its traffic pattern, the sweep grammar's mesh:<cols>[x<rows>][:<pattern>] or torus:…; pattern uniform (core i → i+n/2, default), transpose (square grid), bitrev, hotspot, all-to-all")
 	routing := fs.String("routing", "odd-even",
 		"turn-model routing function: "+strings.Join(route.TurnModelNames(), ", "))
-	pattern := fs.String("traffic", "stride",
-		"traffic pattern: stride (core i → i+n/2), transpose, all-to-all")
 	maxPaths := fs.Int("max-paths", 0, "max candidate paths per flow (0 = library default)")
 	vcLimit := fs.Int("vc-limit", 0, "abort removal past this many added VCs (0 = unlimited)")
 	out := fs.String("out", "design.json", "write the design bundle here (\"-\" for stdout)")
@@ -41,24 +40,27 @@ func runDesign(ctx context.Context, args []string, stdout, stderr io.Writer) err
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
-	wrap, cols, rows, err := parsePreset(*preset)
+	spec, err := runner.ParseSpec(*preset)
 	if err != nil {
 		return err
 	}
-	tr, err := presetTraffic(*pattern, cols*rows)
+	if !spec.Preset {
+		return fmt.Errorf("-preset %q: want a mesh: or torus: spec", *preset)
+	}
+	tr, err := spec.Workload(0)
 	if err != nil {
 		return err
 	}
 	sess := nocdr.NewSession(nocdr.WithMaxPaths(*maxPaths), nocdr.WithVCLimit(*vcLimit))
-	d, err := sess.NewReconfigDesign(ctx, cols, rows, wrap, *routing, tr)
+	d, err := sess.NewReconfigDesign(ctx, spec.Grid.Cols, spec.Grid.Rows, spec.Grid.Wrap, *routing, tr)
 	if err != nil {
 		return err
 	}
 	if err := writeDesign(*out, d, stdout); err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "design: %s %s %s, %d flows, %d extra VCs → %s\n",
-		*preset, *routing, *pattern, tr.NumFlows(), d.Topology.ExtraVCs(), outName(*out))
+	fmt.Fprintf(stdout, "design: %s %s, %d flows, %d extra VCs → %s\n",
+		*preset, *routing, tr.NumFlows(), d.Topology.ExtraVCs(), outName(*out))
 	return nil
 }
 
@@ -261,74 +263,6 @@ func faultSource(live *regular.Grid, faultList string, faultCount int, faultSeed
 			return faults[0], true
 		}, nil
 	}
-}
-
-// parsePreset parses mesh:<cols>x<rows> / torus:<cols>x<rows>.
-func parsePreset(s string) (wrap bool, cols, rows int, err error) {
-	kind, dims, ok := strings.Cut(s, ":")
-	if ok {
-		switch kind {
-		case "mesh":
-		case "torus":
-			wrap = true
-		default:
-			ok = false
-		}
-	}
-	if ok {
-		var c, r string
-		if c, r, ok = strings.Cut(dims, "x"); ok {
-			var errC, errR error
-			cols, errC = strconv.Atoi(c)
-			rows, errR = strconv.Atoi(r)
-			ok = errC == nil && errR == nil && cols >= 2 && rows >= 2
-		}
-	}
-	if !ok {
-		return false, 0, 0, fmt.Errorf("-preset %q: want mesh:<cols>x<rows> or torus:<cols>x<rows> with cols,rows >= 2", s)
-	}
-	return wrap, cols, rows, nil
-}
-
-// presetTraffic builds the named synthetic pattern over n cores at
-// bandwidth 100.
-func presetTraffic(pattern string, n int) (*nocdr.TrafficGraph, error) {
-	g := nocdr.NewTraffic(fmt.Sprintf("%s_%d", pattern, n))
-	for i := 0; i < n; i++ {
-		g.AddCore("")
-	}
-	add := func(s, d int) {
-		if s != d {
-			g.MustAddFlow(nocdr.CoreID(s), nocdr.CoreID(d), 100)
-		}
-	}
-	switch pattern {
-	case "stride":
-		for i := 0; i < n; i++ {
-			add(i, (i+n/2)%n)
-		}
-	case "transpose":
-		bits := 0
-		for 1<<bits < n {
-			bits++
-		}
-		if 1<<bits != n || bits%2 != 0 {
-			return nil, fmt.Errorf("-traffic transpose needs a power-of-4 core count, got %d", n)
-		}
-		half := bits / 2
-		for i := 0; i < n; i++ {
-			add(i, (i>>half)|((i&(1<<half-1))<<half))
-		}
-	case "all-to-all":
-		for s := 0; s < n; s++ {
-			for d := 0; d < n; d++ {
-				add(s, d)
-			}
-		}
-	default:
-		return nil, fmt.Errorf("-traffic %q: want stride, transpose, or all-to-all", pattern)
-	}
-	return g, nil
 }
 
 // writeDesign writes the bundle to path, or stdout for "-".

@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -26,33 +28,73 @@ func writeTestDesign(t *testing.T, args ...string) string {
 }
 
 func TestDesignWritesVerifiableBundle(t *testing.T) {
-	path := writeTestDesign(t, "-preset", "mesh:4x4", "-routing", "odd-even", "-traffic", "all-to-all")
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
+	// "mesh:4" is the sweep grammar's shorthand for mesh:4x4:uniform.
+	for preset, flows := range map[string]int{"mesh:4x4:all-to-all": 240, "mesh:4": 16} {
+		path := writeTestDesign(t, "-preset", preset, "-routing", "odd-even")
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := reconfig.ReadDesign(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Verify(); err != nil {
+			t.Fatalf("%s: written design invalid: %v", preset, err)
+		}
+		if d.Grid.Cols != 4 || d.Grid.Rows != 4 || d.Grid.Wrap {
+			t.Fatalf("%s: grid %+v, want 4x4 mesh", preset, d.Grid)
+		}
+		if got := d.Traffic.NumFlows(); got != flows {
+			t.Errorf("%s: %d flows, want %d", preset, got, flows)
+		}
 	}
-	defer f.Close()
-	d, err := reconfig.ReadDesign(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Verify(); err != nil {
-		t.Fatalf("written design invalid: %v", err)
-	}
-	if d.Grid.Cols != 4 || d.Grid.Rows != 4 || d.Grid.Wrap {
-		t.Fatalf("grid %+v, want 4x4 mesh", d.Grid)
+}
+
+// TestDesignBundleKnownAnswers pins the bytes of `nocexp design` bundles
+// to those the tool wrote before its -preset flag took the sweep spec
+// grammar: the grammar and the traffic generators it reaches must not
+// move a design. The uniform row is the former "-traffic stride" bundle,
+// whose traffic graph carried another name.
+func TestDesignBundleKnownAnswers(t *testing.T) {
+	for _, c := range []struct {
+		args    []string
+		oldName string // the traffic graph's name in the pinned bundle
+		want    string
+	}{
+		{[]string{"-preset", "mesh:4x4:all-to-all", "-routing", "odd-even"}, "", "343c7cee1c2a8bdf65704a7efbb2e9834908ddddd9ac15c7b711ee745abbe3ab"},
+		{[]string{"-preset", "mesh:4x4:transpose", "-routing", "dor"}, "", "72477c2372fa6efcf3def992153155368ac8178bc76a9731712f8840fbb9aa87"},
+		{[]string{"-preset", "torus:4x4:all-to-all", "-routing", "west-first"}, "", "9b25c1e3fb65ca605f7ddecfa1385a964b6fcb951d000525c9d4bfce827ea606"},
+		{[]string{"-preset", "mesh:4x4:uniform", "-routing", "odd-even"}, "stride_16", "2fee6155075e7b9459917bfc4eeed4115662a8b28db3f093b2cdb3d68f56a4a7"},
+	} {
+		data, err := os.ReadFile(writeTestDesign(t, c.args...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.oldName != "" {
+			const name = `"name": "uniform_n16_s8"`
+			if !bytes.Contains(data, []byte(name)) {
+				t.Fatalf("design %v: traffic graph not named uniform_n16_s8", c.args)
+			}
+			data = bytes.Replace(data, []byte(name), []byte(`"name": "`+c.oldName+`"`), 1)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != c.want {
+			t.Errorf("design %v: sha256 %s, want %s", c.args, got, c.want)
+		}
 	}
 }
 
 func TestDesignRejectsBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-preset", "ring:4x4"},
-		{"-preset", "mesh:4"},
 		{"-preset", "mesh:1x4"},
 		{"-preset", "mesh:4x4junk"},
 		{"-preset", "torus:3x3x9"},
+		{"-preset", "transpose:16"},
 		{"-routing", "zig-zag"},
-		{"-traffic", "lumpy"},
+		{"-preset", "mesh:4x4:lumpy"},
+		{"-traffic", "all-to-all"},
 		{"-preset", "mesh:4x4", "extra-arg"},
 	} {
 		if err := runDesign(context.Background(), args, io.Discard, io.Discard); err == nil {
@@ -66,7 +108,7 @@ func TestDesignRejectsBadFlags(t *testing.T) {
 // verification gate green, the differential baseline reported, and both
 // artifacts written and re-parseable.
 func TestReconfigureSeededFaults(t *testing.T) {
-	design := writeTestDesign(t, "-preset", "mesh:4x4", "-routing", "odd-even", "-traffic", "all-to-all")
+	design := writeTestDesign(t, "-preset", "mesh:4x4:all-to-all", "-routing", "odd-even")
 	dir := t.TempDir()
 	evolved := filepath.Join(dir, "evolved.json")
 	deltas := filepath.Join(dir, "deltas.json")
@@ -119,7 +161,7 @@ func TestReconfigureSeededFaults(t *testing.T) {
 // TestReconfigureStormTerminates drives the storm mode to its clean stop
 // and checks the evolved design re-verifies.
 func TestReconfigureStormTerminates(t *testing.T) {
-	design := writeTestDesign(t, "-preset", "mesh:4x4", "-routing", "west-first", "-traffic", "all-to-all")
+	design := writeTestDesign(t, "-preset", "mesh:4x4:all-to-all", "-routing", "west-first")
 	var out bytes.Buffer
 	err := runReconfigure(context.Background(), []string{
 		"-design", design, "-storm", "-quiet", "-skip-sim",
@@ -133,7 +175,7 @@ func TestReconfigureStormTerminates(t *testing.T) {
 }
 
 func TestReconfigureExplicitFaultAndDowntime(t *testing.T) {
-	design := writeTestDesign(t, "-preset", "mesh:4x4", "-routing", "odd-even", "-traffic", "all-to-all")
+	design := writeTestDesign(t, "-preset", "mesh:4x4:all-to-all", "-routing", "odd-even")
 	// Pick the fault the seed-0 selector would: deterministic and safe.
 	var probe bytes.Buffer
 	if err := runReconfigure(context.Background(), []string{

@@ -33,7 +33,7 @@ func runSweep(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	benchmarks := fs.String("benchmarks", "all",
-		"comma-separated benchmark specs: paper names, rand:<cores>x<fanout>, or \"all\" for the six paper benchmarks")
+		"comma-separated benchmark specs, or \"all\" for the six paper benchmarks. Synthesized (the -switches axis applies): a paper name ("+strings.Join(traffic.BenchmarkNames(), ", ")+"), rand:<cores>x<fanout>, transpose:<cores> (square count), bitrev:<cores> (power of two), hotspot:<cores>[x<hotspots>]. Presets with their own topology: mesh:<cols>[x<rows>][:<pattern>] and torus:…, pattern transpose (square grid), bitrev, hotspot, uniform (core i → i+n/2, default) or all-to-all")
 	switches := fs.String("switches", "", "comma-separated switch counts (default "+intsCSV(runner.DefaultSwitchCounts)+")")
 	policies := fs.String("policies", "smallest", "comma-separated cycle-selection policies: smallest, first")
 	seeds := fs.String("seeds", "0", "comma-separated seeds for rand benchmark specs")

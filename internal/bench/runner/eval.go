@@ -83,50 +83,50 @@ func EvaluateContext(ctx context.Context, g *traffic.Graph, switchCount int, opt
 // graph and synthesize a topology, except that a switch count above the
 // core count skips the cell (the sweep convention of Figures 8 and 9).
 // cores is the workload's core count, known once the workload exists
-// (0 when resolving it failed).
+// (0 when the spec does not parse).
 func buildCell(ctx context.Context, job Job, opts EvalOptions) (de *designEval, cores int, skipped bool, err error) {
-	if preset, ok, err := parsePreset(job.Benchmark); ok {
-		if err != nil {
-			return nil, 0, false, err
-		}
-		grid, g, err := preset.build()
-		if err != nil {
-			return nil, 0, false, err
-		}
-		cores = g.NumCores()
-		model, err := route.ParseTurnModel(job.Routing)
-		if err != nil {
-			return nil, cores, false, err
-		}
-		if job.Faults > 0 {
-			// Seeded per-cell fault scenario: mask links, keep the network
-			// connected, and let the routing regenerate around them.
-			ids, err := regular.SelectFaults(grid, job.Faults, job.Seed)
-			if err != nil {
-				return nil, cores, false, err
-			}
-			if err := grid.Topology.Fault(ids...); err != nil {
-				return nil, cores, false, err
-			}
-		}
-		if model == route.DOR && job.Faults == 0 {
-			// The classic single-path pipeline, byte-identical to
-			// pre-routing-axis sweeps.
-			de, err = buildRegular(ctx, grid, g, opts)
-		} else {
-			de, err = buildAdaptive(ctx, grid, g, model, opts)
-		}
-		return de, cores, false, err
+	spec, err := ParseSpec(job.Benchmark)
+	if err != nil {
+		return nil, 0, false, err
 	}
-	g, err := resolveBenchmark(job.Benchmark, job.Seed)
+	g, err := spec.Workload(job.Seed)
 	if err != nil {
 		return nil, 0, false, err
 	}
 	cores = g.NumCores()
-	if job.SwitchCount > cores {
-		return nil, cores, true, nil
+	if !spec.Preset {
+		if job.SwitchCount > cores {
+			return nil, cores, true, nil
+		}
+		de, err = buildSynth(ctx, g, job.SwitchCount, opts)
+		return de, cores, false, err
 	}
-	de, err = buildSynth(ctx, g, job.SwitchCount, opts)
+	grid, err := regular.NewGrid(spec.Grid.Cols, spec.Grid.Rows, spec.Grid.Wrap)
+	if err != nil {
+		return nil, cores, false, err
+	}
+	model, err := route.ParseTurnModel(job.Routing)
+	if err != nil {
+		return nil, cores, false, err
+	}
+	if job.Faults > 0 {
+		// Seeded per-cell fault scenario: mask links, keep the network
+		// connected, and let the routing regenerate around them.
+		ids, err := regular.SelectFaults(grid, job.Faults, job.Seed)
+		if err != nil {
+			return nil, cores, false, err
+		}
+		if err := grid.Topology.Fault(ids...); err != nil {
+			return nil, cores, false, err
+		}
+	}
+	if model == route.DOR && job.Faults == 0 {
+		// The classic single-path pipeline, byte-identical to
+		// pre-routing-axis sweeps.
+		de, err = buildRegular(ctx, grid, g, opts)
+	} else {
+		de, err = buildAdaptive(ctx, grid, g, model, opts)
+	}
 	return de, cores, false, err
 }
 

@@ -19,17 +19,6 @@ type groupKey struct {
 	seed      int64
 }
 
-// designDependsOnSeed reports whether the job's design (not just its
-// injection process) varies with the seed: rand: specs synthesize a
-// seeded traffic graph, and faulted preset cells mask a seeded link
-// selection.
-func designDependsOnSeed(job Job) bool {
-	if _, ok, _ := parsePreset(job.Benchmark); ok {
-		return job.Faults > 0
-	}
-	return randSpec.MatchString(job.Benchmark)
-}
-
 func keyOf(job Job) groupKey {
 	k := groupKey{
 		benchmark: job.Benchmark,
@@ -38,7 +27,7 @@ func keyOf(job Job) groupKey {
 		faults:    job.Faults,
 		policy:    job.Policy,
 	}
-	if designDependsOnSeed(job) {
+	if s, err := ParseSpec(job.Benchmark); err == nil && s.seededDesign(job.Faults) {
 		k.seeded, k.seed = true, job.Seed
 	}
 	return k

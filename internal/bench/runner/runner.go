@@ -14,16 +14,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"regexp"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"github.com/nocdr/nocdr/internal/core"
 	"github.com/nocdr/nocdr/internal/nocerr"
-	"github.com/nocdr/nocdr/internal/regular"
 	"github.com/nocdr/nocdr/internal/route"
 	"github.com/nocdr/nocdr/internal/traffic"
 )
@@ -39,18 +36,20 @@ type Grid struct {
 	//	rand:<cores>x<fanout> seeded random k-out traffic
 	//	transpose:<cores>     matrix-transpose permutation (square count)
 	//	bitrev:<cores>        bit-reversal permutation (power of two)
-	//	hotspot:<cores>x<h>   h shared hotspot targets
+	//	hotspot:<cores>[x<h>] h shared hotspot targets (default cores/8)
 	//
 	// Regular-topology presets carry their own topology and
 	// dimension-ordered routes, so they ignore the switch-count axis and
 	// run once per (policy, seed):
 	//
-	//	mesh:<cols>x<rows>:<pattern>
-	//	torus:<cols>x<rows>:<pattern>
+	//	mesh:<cols>[x<rows>][:<pattern>]
+	//	torus:<cols>[x<rows>][:<pattern>]
 	//
-	// with <pattern> one of transpose, bitrev, hotspot, uniform. The
-	// torus presets are the textbook dateline stress: DOR routes cross
-	// the wrap-around links, so the initial CDG is cyclic.
+	// with <pattern> one of transpose (square grid), bitrev, hotspot,
+	// uniform (core i → i+n/2, the default) or all-to-all; rows default
+	// to cols. The torus presets are the textbook dateline stress: DOR
+	// routes cross the wrap-around links, so the initial CDG is cyclic.
+	// ParseSpec is the grammar's one parser.
 	Benchmarks []string `json:"benchmarks"`
 	// SwitchCounts is the synthesis sweep axis (Figures 8 and 9).
 	SwitchCounts []int `json:"switch_counts"`
@@ -134,8 +133,8 @@ func (g Grid) Jobs() []Job {
 		counts := g.SwitchCounts
 		rts := []string{""}
 		faults := 0
-		if p, ok, _ := parsePreset(b); ok {
-			counts = []int{p.cols * p.rows}
+		if s, err := ParseSpec(b); err == nil && s.Preset {
+			counts = []int{s.cores}
 			rts = routings
 			faults = g.Faults
 		}
@@ -152,31 +151,13 @@ func (g Grid) Jobs() []Job {
 	return out
 }
 
-// Validate resolves every benchmark spec and policy name, failing fast on
-// typos before any work is scheduled. rand: specs are only parsed and
-// range-checked, never generated: their workload is O(cores²) to build
-// and cannot fail once the spec is in range.
+// Validate parses every benchmark spec and policy name, failing fast on
+// typos before any work is scheduled. It only parses: no workload or
+// topology is built, so its cost does not grow with the specs' sizes.
 func (g Grid) Validate() error {
 	n := g.normalized()
 	for _, b := range n.Benchmarks {
-		if p, ok, err := parsePreset(b); ok {
-			if err == nil {
-				_, _, err = p.build()
-			}
-			if err != nil {
-				return err
-			}
-			continue
-		}
-		// A rand: spec validates by parsing alone: RandomKOut cannot fail
-		// on an in-range spec, and materializing it costs O(cores²).
-		if _, _, ok, err := parseRand(b); ok {
-			if err != nil {
-				return err
-			}
-			continue
-		}
-		if _, err := resolveBenchmark(b, 0); err != nil {
+		if _, err := ParseSpec(b); err != nil {
 			return err
 		}
 	}
@@ -682,138 +663,4 @@ func DirectionName(p core.DirectionPolicy) string {
 		return directionNames[core.BestOfBoth]
 	}
 	return directionNames[p]
-}
-
-var (
-	randSpec    = regexp.MustCompile(`^rand:(\d+)x(\d+)$`)
-	patternSpec = regexp.MustCompile(`^(transpose|bitrev):(\d+)$`)
-	hotspotSpec = regexp.MustCompile(`^hotspot:(\d+)(?:x(\d+))?$`)
-	presetSpec  = regexp.MustCompile(`^(mesh|torus):(\d+)(?:x(\d+))?(?::(transpose|bitrev|hotspot|uniform))?$`)
-)
-
-// resolveBenchmark turns a synthesized benchmark spec into a traffic
-// graph: a paper benchmark by name, "rand:<cores>x<fanout>" seeded by the
-// job's seed, or one of the deterministic adversarial patterns
-// (transpose:<n>, bitrev:<n>, hotspot:<n>x<h>).
-func resolveBenchmark(spec string, seed int64) (*traffic.Graph, error) {
-	if cores, fanout, ok, err := parseRand(spec); ok {
-		if err != nil {
-			return nil, err
-		}
-		name := fmt.Sprintf("%s#%d", spec, seed)
-		return traffic.RandomKOut(name, cores, fanout, seed), nil
-	}
-	if m := patternSpec.FindStringSubmatch(spec); m != nil {
-		n, err := specInt(spec, m[2])
-		if err != nil {
-			return nil, err
-		}
-		if m[1] == "transpose" {
-			return traffic.Transpose(n)
-		}
-		return traffic.BitReversal(n)
-	}
-	if m := hotspotSpec.FindStringSubmatch(spec); m != nil {
-		n, err := specInt(spec, m[1])
-		h := max(1, n/8)
-		if err == nil && m[2] != "" {
-			h, err = specInt(spec, m[2])
-		}
-		if err != nil {
-			return nil, err
-		}
-		return traffic.Hotspot(n, h)
-	}
-	return traffic.ByName(spec)
-}
-
-// specInt parses one digit run of a benchmark spec. A number too large
-// for int rejects the spec: strconv clamps it to MaxInt, which would
-// otherwise size a workload or topology past any memory.
-func specInt(spec, digits string) (int, error) {
-	n, err := strconv.Atoi(digits)
-	if err != nil {
-		return 0, fmt.Errorf("runner: benchmark spec %q: number %s out of range", spec, digits)
-	}
-	return n, nil
-}
-
-// parseRand parses and range-checks a rand:<cores>x<fanout> spec; ok is
-// false for specs of any other shape.
-func parseRand(spec string) (cores, fanout int, ok bool, err error) {
-	m := randSpec.FindStringSubmatch(spec)
-	if m == nil {
-		return 0, 0, false, nil
-	}
-	if cores, err = specInt(spec, m[1]); err == nil {
-		fanout, err = specInt(spec, m[2])
-	}
-	if err != nil {
-		return 0, 0, true, err
-	}
-	if cores < 2 || fanout < 1 || fanout >= cores {
-		return 0, 0, true, fmt.Errorf("runner: rand spec %q out of range (need 2 ≤ cores, 1 ≤ fanout < cores)", spec)
-	}
-	return cores, fanout, true, nil
-}
-
-// preset is a parsed regular-topology benchmark spec.
-type preset struct {
-	wrap    bool // torus if true
-	cols    int
-	rows    int
-	pattern string
-}
-
-// parsePreset recognizes mesh:/torus: specs; ok is false for specs of
-// any other shape. "mesh:<n>" is shorthand for the square uniform grid
-// "mesh:<n>x<n>:uniform"; an omitted pattern defaults to uniform.
-func parsePreset(spec string) (p preset, ok bool, err error) {
-	m := presetSpec.FindStringSubmatch(spec)
-	if m == nil {
-		return preset{}, false, nil
-	}
-	cols, err := specInt(spec, m[2])
-	rows := cols
-	if err == nil && m[3] != "" {
-		rows, err = specInt(spec, m[3])
-	}
-	if err != nil {
-		return preset{}, true, err
-	}
-	pattern := m[4]
-	if pattern == "" {
-		pattern = "uniform"
-	}
-	return preset{wrap: m[1] == "torus", cols: cols, rows: rows, pattern: pattern}, true, nil
-}
-
-// build materializes the preset's grid topology and traffic pattern.
-func (p preset) build() (*regular.Grid, *traffic.Graph, error) {
-	var grid *regular.Grid
-	var err error
-	if p.wrap {
-		grid, err = regular.Torus(p.cols, p.rows)
-	} else {
-		grid, err = regular.Mesh(p.cols, p.rows)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	n := p.cols * p.rows
-	var g *traffic.Graph
-	if p.pattern == "uniform" {
-		g, err = regular.UniformTraffic(n, n/2, 100)
-	} else {
-		// The non-uniform patterns share their construction (and the
-		// hotspot default fan-in) with the synthesized specs.
-		if p.pattern == "transpose" && p.cols != p.rows {
-			return nil, nil, fmt.Errorf("runner: transpose preset needs a square grid, got %dx%d", p.cols, p.rows)
-		}
-		g, err = resolveBenchmark(fmt.Sprintf("%s:%d", p.pattern, n), 0)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return grid, g, nil
 }

@@ -357,7 +357,12 @@ func TestPatternSpecs(t *testing.T) {
 		"hotspot:24x3": 24,
 		"hotspot:24":   24,
 	} {
-		g, err := resolveBenchmark(spec, 0)
+		s, err := ParseSpec(spec)
+		if err != nil {
+			t.Errorf("%s: %v", spec, err)
+			continue
+		}
+		g, err := s.Workload(0)
 		if err != nil {
 			t.Errorf("%s: %v", spec, err)
 			continue
@@ -368,7 +373,8 @@ func TestPatternSpecs(t *testing.T) {
 	}
 	for _, bad := range []string{"transpose:15", "transpose:16x4", "bitrev:12", "bitrev:8x2", "hotspot:2x2", "mesh:1x1:uniform", "torus:4x4:nope",
 		"mesh:99999999999999999999x1", "torus:4x99999999999999999999:transpose", "transpose:99999999999999999999",
-		"bitrev:99999999999999999999", "hotspot:99999999999999999999", "hotspot:24x99999999999999999999"} {
+		"bitrev:99999999999999999999", "hotspot:99999999999999999999", "hotspot:24x99999999999999999999",
+		"mesh:4x4:", "mesh:x4", "mesh:+4", "rand:8", "rand:8x3x1", "hotspot:24x", "ring:4x4", "bitrev:٤", "mesh:4294967296x4294967296"} {
 		if err := (Grid{Benchmarks: []string{bad}, SwitchCounts: []int{4}}).Validate(); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		}
@@ -378,7 +384,7 @@ func TestPatternSpecs(t *testing.T) {
 		!strings.Contains(err.Error(), `"mesh:99999999999999999999x1"`) {
 		t.Errorf("overflowing preset spec: %v, want an error naming the spec", err)
 	}
-	if err := (Grid{Benchmarks: []string{"mesh:4x4:transpose", "torus:8x4:bitrev"}, SwitchCounts: []int{4}}).Validate(); err != nil {
+	if err := (Grid{Benchmarks: []string{"mesh:4x4:transpose", "torus:8x4:bitrev", "mesh:3x3:all-to-all"}, SwitchCounts: []int{4}}).Validate(); err != nil {
 		t.Errorf("valid presets rejected: %v", err)
 	}
 }

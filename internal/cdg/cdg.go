@@ -202,10 +202,6 @@ func (c *CDG) CyclicChannels() []topology.Channel {
 	return out
 }
 
-// CountCycles counts elementary cycles up to limit (<=0 for all); see
-// graph.CountCycles for caveats.
-func (c *CDG) CountCycles(limit int) int { return c.g.CountCycles(limit) }
-
 // String renders a compact summary like "CDG{5 channels, 5 deps, cyclic}".
 func (c *CDG) String() string {
 	state := "acyclic"

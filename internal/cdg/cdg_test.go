@@ -183,17 +183,6 @@ func TestDependenciesSortedAndComplete(t *testing.T) {
 	}
 }
 
-func TestCountCycles(t *testing.T) {
-	top, tab := paperExample(t)
-	c, err := Build(top, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := c.CountCycles(0); n != 1 {
-		t.Errorf("CountCycles = %d, want 1", n)
-	}
-}
-
 func TestCyclicChannels(t *testing.T) {
 	top, tab := paperExample(t)
 	c, err := Build(top, tab)

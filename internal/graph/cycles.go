@@ -179,78 +179,3 @@ func rotateToMin(cycle []int) []int {
 	out = append(out, cycle[:minIdx]...)
 	return out
 }
-
-// CountCycles returns the number of elementary cycles up to limit using
-// Johnson-style enumeration restricted to strongly connected components.
-// It exists for diagnostics and tests; the removal algorithm itself only
-// ever needs the shortest cycle. A limit <= 0 counts all cycles (beware:
-// can be exponential).
-func (g *Digraph) CountCycles(limit int) int {
-	count := 0
-	// Enumerate cycles per SCC; single-node SCCs only matter for self-loops.
-	for _, comp := range g.SCCs() {
-		if len(comp) == 1 {
-			v := comp[0]
-			if g.HasEdge(v, v) {
-				count++
-				if limit > 0 && count >= limit {
-					return count
-				}
-			}
-			continue
-		}
-		inComp := make(map[int]bool, len(comp))
-		for _, v := range comp {
-			inComp[v] = true
-		}
-		// Simple DFS cycle enumeration anchored at the smallest vertex of
-		// the component, then shrinking: adequate for the CDG sizes in this
-		// repo (thousands of nodes, sparse).
-		count += enumerateCycles(g, comp, inComp, limit, count)
-		if limit > 0 && count >= limit {
-			return count
-		}
-	}
-	return count
-}
-
-func enumerateCycles(g *Digraph, comp []int, inComp map[int]bool, limit, sofar int) int {
-	count := 0
-	blocked := make(map[int]bool)
-	onStack := make(map[int]bool)
-	var stack []int
-	var dfs func(root, v int) bool
-	dfs = func(root, v int) bool {
-		stack = append(stack, v)
-		onStack[v] = true
-		defer func() {
-			stack = stack[:len(stack)-1]
-			onStack[v] = false
-		}()
-		for _, w := range g.succ[v] {
-			if !inComp[w] || w < root {
-				continue // only cycles whose minimum vertex is root
-			}
-			if w == root {
-				count++
-				if limit > 0 && sofar+count >= limit {
-					return true
-				}
-				continue
-			}
-			if !onStack[w] {
-				if dfs(root, w) {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	for _, root := range comp {
-		blocked[root] = true
-		if dfs(root, root) {
-			break
-		}
-	}
-	return count
-}

@@ -281,21 +281,6 @@ func TestDijkstraUnreachable(t *testing.T) {
 	}
 }
 
-func TestCountCycles(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 0)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 1)
-	g.AddEdge(3, 3)
-	if n := g.CountCycles(0); n != 3 {
-		t.Errorf("CountCycles = %d, want 3", n)
-	}
-	if n := g.CountCycles(2); n < 2 {
-		t.Errorf("CountCycles(limit=2) = %d, want >= 2", n)
-	}
-}
-
 // Property: ShortestCycle returns a real cycle whose closing edge exists,
 // and returns nil iff HasCycle is false.
 func TestShortestCycleAgreementProperty(t *testing.T) {

@@ -119,13 +119,7 @@ func ColdRemove(ctx context.Context, d *Design, opts core.Options) (*core.SetRes
 // construction — New is the only producer — so link IDs line up with the
 // design's own.
 func LiveGrid(d *Design) (*regular.Grid, error) {
-	var g *regular.Grid
-	var err error
-	if d.Grid.Wrap {
-		g, err = regular.Torus(d.Grid.Cols, d.Grid.Rows)
-	} else {
-		g, err = regular.Mesh(d.Grid.Cols, d.Grid.Rows)
-	}
+	g, err := regular.NewGrid(d.Grid.Cols, d.Grid.Rows, d.Grid.Wrap)
 	if err != nil {
 		return nil, err
 	}

@@ -39,17 +39,19 @@ func (g *Grid) Coord(sw topology.SwitchID) (x, y int) {
 
 // Mesh builds a cols×rows bidirectional 2D mesh with one core per switch.
 func Mesh(cols, rows int) (*Grid, error) {
-	return grid(cols, rows, false)
+	return NewGrid(cols, rows, false)
 }
 
 // Torus builds a cols×rows bidirectional 2D torus (mesh plus wrap-around
 // links) with one core per switch. For cols or rows of 2 the wrap link
 // would duplicate the mesh link, so those dimensions stay unwrapped.
 func Torus(cols, rows int) (*Grid, error) {
-	return grid(cols, rows, true)
+	return NewGrid(cols, rows, true)
 }
 
-func grid(cols, rows int, wrap bool) (*Grid, error) {
+// NewGrid builds a cols×rows 2D grid with one core per switch: a torus
+// if wrap is set (see Torus), a mesh otherwise.
+func NewGrid(cols, rows int, wrap bool) (*Grid, error) {
 	if cols < 2 || rows < 1 {
 		return nil, fmt.Errorf("regular: grid %dx%d too small", cols, rows)
 	}

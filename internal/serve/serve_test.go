@@ -430,24 +430,27 @@ func TestSweepJobReportShape(t *testing.T) {
 	}
 }
 
-// TestSweepRejectsOverflowSpec pins that a spec number too large for int
-// is a prompt 400: strconv clamps it to MaxInt, and building that mesh
-// inside the handler would exhaust the server's memory.
+// TestSweepRejectsOverflowSpec pins that an out-of-range spec is a
+// prompt 400, decided by parsing alone: a number too large for int
+// (strconv clamps it to MaxInt), and a non-square transpose torus whose
+// 720,000 switches the handler must not build before noticing.
 func TestSweepRejectsOverflowSpec(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 	client := &http.Client{Timeout: 5 * time.Second}
-	start := time.Now()
-	resp, err := client.Post(ts.URL+"/v1/sweep", "application/json",
-		strings.NewReader(`{"grid":{"benchmarks":["mesh:99999999999999999999x1"]}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", resp.StatusCode)
-	}
-	if d := time.Since(start); d > time.Second {
-		t.Fatalf("rejection took %v, want < 1s", d)
+	for _, spec := range []string{"mesh:99999999999999999999x1", "torus:1200x600:transpose"} {
+		start := time.Now()
+		resp, err := client.Post(ts.URL+"/v1/sweep", "application/json",
+			strings.NewReader(`{"grid":{"benchmarks":["`+spec+`"]}}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", spec, resp.StatusCode)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%s: rejection took %v, want < 1s", spec, d)
+		}
 	}
 }
 

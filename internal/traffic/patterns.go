@@ -83,6 +83,28 @@ func Hotspot(n, h int) (*Graph, error) {
 	return g, nil
 }
 
+// AllToAll builds the complete pattern on n cores: every core sends one
+// flow to every other core, n(n-1) flows in source-major order. It is
+// the densest single-class workload, and the one that gives turn-model
+// route sets their largest union CDG.
+func AllToAll(n int) (*Graph, error) {
+	if n < 2 {
+		return nil, fmt.Errorf("traffic: all-to-all needs a core count >= 2, got %d", n)
+	}
+	g := NewGraph(fmt.Sprintf("all-to-all_%d", n))
+	for i := 0; i < n; i++ {
+		g.AddCore("")
+	}
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
+			if s != d {
+				g.MustAddFlow(CoreID(s), CoreID(d), 100)
+			}
+		}
+	}
+	return g, nil
+}
+
 // isqrt returns the integer square root of n.
 func isqrt(n int) int {
 	if n < 2 {

@@ -100,6 +100,28 @@ func TestHotspot(t *testing.T) {
 	}
 }
 
+func TestAllToAll(t *testing.T) {
+	g, err := AllToAll(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if g.NumFlows() != 12 {
+		t.Fatalf("flows = %d, want 12", g.NumFlows())
+	}
+	// Source-major, destinations ascending, no self-flows.
+	if f := g.Flows()[3]; f.Src != 1 || f.Dst != 0 {
+		t.Errorf("flow 3 = %d→%d, want 1→0", f.Src, f.Dst)
+	}
+	for _, bad := range []int{0, 1} {
+		if _, err := AllToAll(bad); err == nil {
+			t.Errorf("AllToAll(%d) accepted", bad)
+		}
+	}
+}
+
 func TestPatternsAreDeterministic(t *testing.T) {
 	a, _ := Transpose(16)
 	b, _ := Transpose(16)

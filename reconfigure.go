@@ -64,12 +64,7 @@ func (s *Session) NewReconfigDesign(ctx context.Context, cols, rows int, wrap bo
 	if err != nil {
 		return nil, wrapErr(err)
 	}
-	var grid *regular.Grid
-	if wrap {
-		grid, err = regular.Torus(cols, rows)
-	} else {
-		grid, err = regular.Mesh(cols, rows)
-	}
+	grid, err := regular.NewGrid(cols, rows, wrap)
 	if err != nil {
 		return nil, wrapErr(err)
 	}

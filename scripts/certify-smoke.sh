@@ -33,8 +33,8 @@ for spec in "mesh:6x6 odd-even" "torus:4x4 west-first"; do
     routing="${spec#* }"
     name="${preset//:/-}"
     echo "== certifying $preset ($routing)"
-    "$DIR/nocexp" design -preset "$preset" -routing "$routing" \
-        -traffic all-to-all -out "$DIR/$name.json"
+    "$DIR/nocexp" design -preset "$preset:all-to-all" -routing "$routing" \
+        -out "$DIR/$name.json"
     "$DIR/nocexp" certify -design "$DIR/$name.json" -out "$DIR/$name.cert.json"
     ./scripts/certify-check.sh "$DIR/$name.json" "$DIR/$name.cert.json"
 done
